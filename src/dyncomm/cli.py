@@ -180,26 +180,27 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_cover_checked(path: str) -> Cover:
+def _read_cover_checked(path: str, tg: TemporalGraph) -> Cover:
+    """Read a cover CSV that must cover exactly the graph's temporal nodes."""
     cover, had_gaps = read_cover(path)
     if had_gaps:
         print(
             f"warning: community ids in {path} had gaps; re-densified to 0..{cover.n_communities - 1}",
             file=sys.stderr,
         )
+    nodes = set(tg.nodes)
+    if cover.assignment.keys() != nodes:
+        missing = [tn for tn in tg.nodes if tn not in cover.assignment]
+        detail = missing[0] if missing else min(cover.assignment.keys() - nodes)
+        raise CoverMismatchError(
+            f"cover and link data disagree on temporal node ({detail.node},{detail.t})"
+        )
     return cover
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     tg = _load_graph(args.links, args.permissive, args.coarsen)
-    cover = _read_cover_checked(args.cover)
-    if set(cover.assignment) != set(tg.nodes):
-        extra = set(cover.assignment) - set(tg.nodes)
-        missing = set(tg.nodes) - set(cover.assignment)
-        detail = next(iter(extra or missing))
-        raise CoverMismatchError(
-            f"cover and link data disagree on temporal node ({detail.node},{detail.t})"
-        )
+    cover = _read_cover_checked(args.cover, tg)
     communities = community_reports(cover, tg)
     nodes = node_reports(cover, tg)
     if args.community_out:
@@ -222,6 +223,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _cell_tag(parameter: str, value: float, seed: int) -> str:
+    """The tag in a sweep cell's file names."""
+    return f"{parameter}{value:g}_s{seed}"
+
+
 def _sweep_cell_job(payload: tuple[GeneratorConfig, str, float, int, str]) -> list[str]:
     base, parameter, value, seed, outdir = payload
     derived_seed = cell_seed(seed, parameter, value)
@@ -233,7 +239,7 @@ def _sweep_cell_job(payload: tuple[GeneratorConfig, str, float, int, str]) -> li
         }
     )
     links, assignment = generate(config)
-    tag = f"{parameter}{value:g}_s{seed}"
+    tag = _cell_tag(parameter, value, seed)
     out = Path(outdir)
     write_links(links, out / f"links_{tag}.txt")
     write_assignment(assignment, out / f"assignment_{tag}.txt")
@@ -266,6 +272,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("--values must list at least one value")
     if not seeds:
         raise ConfigError("--seeds must list at least one seed")
+    # Two cells with one tag would overwrite each other's files.
+    first_cell: dict[str, tuple[float, int]] = {}
+    for value in values:
+        for seed in seeds:
+            tag = _cell_tag(args.param, value, seed)
+            if tag in first_cell:
+                raise ConfigError(
+                    f"cells (value {first_cell[tag][0]!r}, seed {first_cell[tag][1]}) and "
+                    f"(value {value!r}, seed {seed}) would both write files tagged {tag}"
+                )
+            first_cell[tag] = (value, seed)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     jobs = [
@@ -298,9 +315,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_repair(args: argparse.Namespace) -> int:
     tg = _load_graph(args.links, args.permissive, args.coarsen)
-    cover = _read_cover_checked(args.cover)
-    if set(cover.assignment) != set(tg.nodes):
-        raise CoverMismatchError("cover and link data disagree on the temporal node set")
+    cover = _read_cover_checked(args.cover, tg)
     repaired, steps = repair(cover, tg, min_overlap=args.min_overlap)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -466,19 +466,22 @@ def read_cover(source: IO[str] | str | Path) -> tuple[Cover, bool]:
         with open(source, encoding="utf-8", newline="") as handle:
             return read_cover(handle)
     reader = csv.reader(source)
-    header = next(reader, None)
-    if header != COVER_HEADER:
-        raise ValueError(f"expected cover header {COVER_HEADER}, got {header}")
     raw: dict[TemporalNode, int] = {}
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ValueError(f"malformed cover row: {row}")
-        tn = TemporalNode(row[0], int(row[1]))
-        if tn in raw:
-            raise ValueError(f"duplicate cover row for {tn}")
-        raw[tn] = int(row[2])
+    try:
+        header = next(reader, None)
+        if header != COVER_HEADER:
+            raise ValueError(f"expected cover header {COVER_HEADER}, got {header}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 3:
+                raise ValueError(f"malformed cover row: {row}")
+            tn = TemporalNode(row[0], int(row[1]))
+            if tn in raw:
+                raise ValueError(f"duplicate cover row for {tn}")
+            raw[tn] = int(row[2])
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"line {max(reader.line_num, 1)}: {exc}") from None
     ids = sorted(set(raw.values()))
     had_gaps = ids != list(range(len(ids)))
     remap = {cid: dense for dense, cid in enumerate(ids)}

@@ -214,5 +214,8 @@ def read_assignment(source: Iterable[str] | str | Path) -> PlantedAssignment:
         fields = stripped.split()
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected `label community_index`")
-        assignment[fields[0]] = int(fields[1])
+        try:
+            assignment[fields[0]] = int(fields[1])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return assignment

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
+from collections import Counter
+from heapq import heappop, heappush
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -37,71 +37,93 @@ def repair(
 
     Each step picks the largest NA gain (ties to the smaller id pair), so
     the process is deterministic and finishes in at most one merge per
-    community.  Gains are compared as exact rationals.
+    community.  Gains are compared exactly.
+
+    The state is updated incrementally.  Neighbour sets (communities that
+    share a physical node) and a heap of candidate merges ordered by
+    (-gain, a, b) are built once.  Merging b into a touches only pairs with
+    a or b: a's pairs are recounted and re-queued under a new version of a,
+    and entries of b or of an older a are skipped when popped.  Every other
+    pair keeps its parts, so its queued gain stays exact.
     """
     if min_overlap < 1:
         raise ValueError("min_overlap must be >= 1")
+    try:
+        cids = [cover.assignment[tn] for tn in tg.nodes]
+    except KeyError as exc:
+        raise CoverMismatchError(f"cover misses temporal node {exc.args[0]}") from None
     phys: dict[int, set[str]] = {c: set() for c in range(cover.n_communities)}
-    size: dict[int, int] = {c: 0 for c in range(cover.n_communities)}
-    for tn in tg.nodes:
-        if tn not in cover.assignment:
-            raise CoverMismatchError(f"cover misses temporal node {tn}")
-        cid = cover.assignment[tn]
+    for tn, cid in zip(tg.nodes, cids):
         phys[cid].add(tn.node)
-        size[cid] += 1
-    na = {c: 1 - Fraction(len(phys[c]), size[c]) for c in phys}
+    size = Counter(cids)
+    holders: dict[str, list[int]] = {}
+    for cid, labels in phys.items():
+        for label in labels:
+            holders.setdefault(label, []).append(cid)
+    neighbours = {
+        cid: set().union(*map(holders.__getitem__, labels)) - {cid}
+        for cid, labels in phys.items()
+    }
+    # NA = 1 - z/size with z = |phys|, so a gain is min(z/size) over the
+    # parts minus union/merged_size: a rational whose denominator is at most
+    # n**2 for n temporal nodes.  Two different gains thus differ by at
+    # least 1/n**4, and floor(gain * n**4) orders gains exactly.
+    scale = len(tg.nodes) ** 4
+    version = dict.fromkeys(phys, 0)
+    heap: list[tuple[int, int, int, int, int, float, float]] = []
+
+    def queue(a: int, x: int) -> None:
+        phys_a, phys_x = phys[a], phys[x]
+        shared = len(phys_a & phys_x)
+        if shared < min_overlap:
+            return
+        z_a, z_x, size_a, size_x = len(phys_a), len(phys_x), size[a], size[x]
+        merged_size = size_a + size_x
+        union = z_a + z_x - shared
+        z, s = (z_a, size_a) if z_a * size_x <= z_x * size_a else (z_x, size_x)
+        gain_num = z * merged_size - union * s
+        if gain_num > 0:
+            gain_den = s * merged_size
+            lo, hi = (a, x) if a < x else (x, a)
+            heappush(heap, (
+                -(gain_num * scale // gain_den), lo, hi, version[lo], version[hi],
+                (merged_size - union) / merged_size, gain_num / gain_den,
+            ))
+
+    for cid, near in neighbours.items():
+        for x in near:
+            if x > cid:
+                queue(cid, x)
     parent: dict[int, int] = {}
     steps: list[MergeStep] = []
-    while True:
-        shared: dict[tuple[int, int], int] = {}
-        node_comms: dict[str, list[int]] = {}
-        for cid in sorted(phys):
-            for label in phys[cid]:
-                node_comms.setdefault(label, []).append(cid)
-        for comms in node_comms.values():
-            for a, b in combinations(comms, 2):
-                shared[(a, b)] = shared.get((a, b), 0) + 1
-        best_pair = None
-        best_gain = Fraction(0)
-        best_na = Fraction(0)
-        for pair in sorted(shared):
-            if shared[pair] < min_overlap:
-                continue
-            a, b = pair
-            merged_size = size[a] + size[b]
-            merged_na = 1 - Fraction(len(phys[a] | phys[b]), merged_size)
-            gain = merged_na - max(na[a], na[b])
-            if gain > best_gain:
-                best_pair = pair
-                best_gain = gain
-                best_na = merged_na
-        if best_pair is None:
-            break
-        a, b = best_pair
+    while heap:
+        _, a, b, version_a, version_b, merged_na, gain = heappop(heap)
+        if version.get(a) != version_a or version.get(b) != version_b:
+            continue
         phys[a] |= phys.pop(b)
         size[a] += size.pop(b)
-        na[a] = best_na
-        del na[b]
+        del version[b]
+        version[a] += 1
         parent[b] = a
-        steps.append(
-            MergeStep(
-                step=len(steps) + 1,
-                community_a=a,
-                community_b=b,
-                merged_na=float(best_na),
-                gain=float(best_gain),
-            )
-        )
+        moved = neighbours.pop(b) - {a}
+        for x in moved:
+            neighbours[x].discard(b)
+            neighbours[x].add(a)
+        neighbours[a].discard(b)
+        neighbours[a] |= moved
+        steps.append(MergeStep(len(steps) + 1, a, b, merged_na, gain))
+        for x in neighbours[a]:
+            queue(a, x)
 
     def root(cid: int) -> int:
         while cid in parent:
             cid = parent[cid]
         return cid
 
-    survivors = sorted(phys)
-    dense = {cid: i for i, cid in enumerate(survivors)}
-    assignment = {tn: dense[root(cover.assignment[tn])] for tn in tg.nodes}
-    return Cover(assignment=assignment, n_communities=len(survivors)), steps
+    dense = {cid: i for i, cid in enumerate(sorted(phys))}
+    final = {cid: dense[root(cid)] for cid in range(cover.n_communities)}
+    assignment = dict(zip(tg.nodes, map(final.__getitem__, cids)))
+    return Cover(assignment=assignment, n_communities=len(dense)), steps
 
 
 def write_trace(steps: Iterable[MergeStep], out: IO[str] | str | Path) -> None:

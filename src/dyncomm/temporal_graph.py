@@ -135,13 +135,26 @@ def format_link(link: RawLink) -> str:
 
 
 def write_links(links: Iterable[RawLink], out: IO[str] | str | Path) -> None:
-    """Write raw links in the four-field link file format, one per line."""
+    """Write raw links in the four-field link file format, one per line.
+
+    Raises LinkValidationError, before writing anything, for a label that
+    `parse_links` could not read back: empty, containing whitespace, or
+    starting with ``#``.
+    """
+    links = list(links)
+    labels = {src for (src, _), _ in links} | {dst for _, (dst, _) in links}
+    bad = sorted(label for label in labels if label.split() != [label] or label.startswith("#"))
+    if bad:
+        raise LinkValidationError(
+            f"label {bad[0]!r} would not read back: labels must be non-empty, "
+            "without whitespace, and not start with '#'"
+        )
+    text = "".join([format_link(link) + "\n" for link in links])
     if isinstance(out, (str, Path)):
         with open(out, "w", encoding="utf-8") as handle:
-            write_links(links, handle)
-        return
-    for link in links:
-        out.write(format_link(link) + "\n")
+            handle.write(text)
+    else:
+        out.write(text)
 
 
 def build_temporal_graph(

@@ -341,3 +341,53 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "values, seeds",
+    [("0.1234561,0.1234564", "1"), ("0.5,0.5", "1"), ("0.5", "3,3")],
+)
+def test_sweep_rejects_cells_that_share_a_file_tag(tmp_path, capsys, values, seeds):
+    config = write_config(tmp_path)
+    outdir = tmp_path / "out"
+    args = ["sweep", str(config), str(outdir), "--param", "p", "--values", values, "--seeds", seeds]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "would both write files tagged" in err
+    assert "Traceback" not in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["metrics", "repair"])
+@pytest.mark.parametrize(
+    "rows, line",
+    [("a,2,0\nb,x,0\n", 3), ("a,2,0\nb,1,zero\n", 3), ("a,2\n", 2), ("a,2,0\na,2,1\n", 3)],
+)
+def test_bad_cover_rows_name_their_line(tmp_path, capsys, command, rows, line):
+    links = tmp_path / "links.txt"
+    links.write_text("a 2 b 1\n")
+    cover = tmp_path / "cover.csv"
+    cover.write_text("node,timestep,community\n" + rows)
+    args = [command, str(links), str(cover)]
+    if command == "repair":
+        args.append(str(tmp_path / "repaired.csv"))
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: ")
+    assert "Traceback" not in err
+
+
+def test_repair_names_the_disagreeing_temporal_node(tmp_path, capsys):
+    links = tmp_path / "links.txt"
+    links.write_text("a 2 b 1\n")
+    cover = tmp_path / "cover.csv"
+    cover.write_text("node,timestep,community\na,2,0\n")
+    out = tmp_path / "repaired.csv"
+    assert main(["repair", str(links), str(cover), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "disagree on temporal node (b,1)" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    cover.write_text("node,timestep,community\na,2,0\nb,1,0\nghost,9,0\n")
+    assert main(["repair", str(links), str(cover), str(out)]) == 2
+    assert "disagree on temporal node (ghost,9)" in capsys.readouterr().err

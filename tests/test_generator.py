@@ -133,3 +133,10 @@ def test_assignment_sidecar_round_trip():
     buffer = io.StringIO()
     write_assignment(assignment, buffer)
     assert read_assignment(buffer.getvalue().splitlines()) == assignment
+
+
+def test_read_assignment_errors_name_their_line():
+    with pytest.raises(ValueError, match="^line 2: invalid literal"):
+        read_assignment(["a 0", "b x"])
+    with pytest.raises(ValueError, match="^line 3: expected"):
+        read_assignment(["a 0", "# comment", "b"])

@@ -4,6 +4,7 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dyncomm import (
     LinkParseError,
@@ -173,3 +174,33 @@ def test_coarsening_never_changes_physical_projection():
             after = project_physical(coarsen_time(tg, k))
             assert after.edges == before.edges
             assert after.nodes == before.nodes
+
+
+@pytest.mark.parametrize("label", ["#a", "", "a b", "a\tb", " a"])
+def test_write_links_rejects_labels_that_would_not_read_back(label):
+    links = [(("ok", 2), ("ok", 1)), ((label, 2), ("ok", 1))]
+    buffer = io.StringIO()
+    with pytest.raises(LinkValidationError, match="would not read back"):
+        write_links(links, buffer)
+    assert buffer.getvalue() == ""
+    with pytest.raises(LinkValidationError):
+        write_links([(("ok", 2), (label, 1))], buffer)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(
+            st.tuples(st.text(max_size=4), st.integers(0, 9)),
+            st.tuples(st.text(max_size=4), st.integers(0, 9)),
+        ),
+        max_size=6,
+    )
+)
+def test_written_links_read_back_or_are_rejected(links):
+    buffer = io.StringIO()
+    try:
+        write_links(links, buffer)
+    except LinkValidationError:
+        return
+    assert parse_links(buffer.getvalue().splitlines(), mode=PERMISSIVE) == links

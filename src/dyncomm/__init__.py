@@ -22,10 +22,9 @@ from .detection import (
 from .generator import (
     ConfigError,
     GeneratorConfig,
-    SweepCell,
+    cell_config,
     generate,
     read_assignment,
-    sweep,
     write_assignment,
 )
 from .metrics import (
@@ -74,13 +73,13 @@ __all__ = [
     "PERMISSIVE",
     "PhysicalGraph",
     "STRICT_CITATION",
-    "SweepCell",
     "TemporalGraph",
     "TemporalLink",
     "TemporalNode",
     "UndefinedModularityError",
     "brute_force_best",
     "build_temporal_graph",
+    "cell_config",
     "coarsen_time",
     "community_reports",
     "community_size",
@@ -99,7 +98,6 @@ __all__ = [
     "read_cover",
     "repair",
     "self_citation",
-    "sweep",
     "write_assignment",
     "write_community_csv",
     "write_cover",

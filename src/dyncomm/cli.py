@@ -8,6 +8,7 @@ constant, never the clock.  Exit codes: 0 success, 1 usage/config error,
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +29,7 @@ from .generator import (
     ConfigError,
     GeneratorConfig,
     SWEEPABLE_PARAMETERS,
-    cell_seed,
+    cell_config,
     generate,
     write_assignment,
 )
@@ -230,21 +231,14 @@ def _cell_tag(parameter: str, value: float, seed: int) -> str:
 
 def _sweep_cell_job(payload: tuple[GeneratorConfig, str, float, int, str]) -> list[str]:
     base, parameter, value, seed, outdir = payload
-    derived_seed = cell_seed(seed, parameter, value)
-    config_kwargs = {parameter: value, "seed": derived_seed}
-    config = GeneratorConfig(
-        **{
-            **{f: getattr(base, f) for f in ("n_c", "m", "t_max", "w", "d", "p", "seed")},
-            **config_kwargs,
-        }
-    )
+    config = cell_config(base, parameter, value, seed)
     links, assignment = generate(config)
     tag = _cell_tag(parameter, value, seed)
     out = Path(outdir)
     write_links(links, out / f"links_{tag}.txt")
     write_assignment(assignment, out / f"assignment_{tag}.txt")
     tg = build_temporal_graph(links)
-    cover = louvain(ModularityView.from_temporal_graph(tg), seed=derived_seed)
+    cover = louvain(ModularityView.from_temporal_graph(tg), seed=config.seed)
     write_cover(cover, out / f"cover_{tag}.csv")
     d = dissimilarity(cover.assignment, _planted_over_nodes(tg, assignment))
     reports = community_reports(cover, tg)
@@ -272,41 +266,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("--values must list at least one value")
     if not seeds:
         raise ConfigError("--seeds must list at least one seed")
+    cells = [(value, seed) for value in values for seed in seeds]
     # Two cells with one tag would overwrite each other's files.
     first_cell: dict[str, tuple[float, int]] = {}
-    for value in values:
-        for seed in seeds:
-            tag = _cell_tag(args.param, value, seed)
-            if tag in first_cell:
-                raise ConfigError(
-                    f"cells (value {first_cell[tag][0]!r}, seed {first_cell[tag][1]}) and "
-                    f"(value {value!r}, seed {seed}) would both write files tagged {tag}"
-                )
-            first_cell[tag] = (value, seed)
+    for value, seed in cells:
+        tag = _cell_tag(args.param, value, seed)
+        if tag in first_cell:
+            raise ConfigError(
+                f"cells (value {first_cell[tag][0]!r}, seed {first_cell[tag][1]}) and "
+                f"(value {value!r}, seed {seed}) would both write files tagged {tag}"
+            )
+        first_cell[tag] = (value, seed)
+    # Validate every cell before anything is written, so a bad one fails fast.
+    for value, seed in cells:
+        cell_config(base, args.param, value, seed)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    jobs = [
-        (base, args.param, value, seed, str(outdir))
-        for value in values
-        for seed in seeds
-    ]
-    # Validate every derived config up front so a bad cell fails fast.
-    for base_cfg, parameter, value, seed, _ in jobs:
-        GeneratorConfig(
-            **{
-                **{f: getattr(base_cfg, f) for f in ("n_c", "m", "t_max", "w", "d", "p", "seed")},
-                parameter: value,
-            }
-        )
+    jobs = [(base, args.param, value, seed, str(outdir)) for value, seed in cells]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_cell_job, jobs))
     else:
         rows = [_sweep_cell_job(job) for job in jobs]
-    import csv as _csv
-
     with open(outdir / "summary.csv", "w", encoding="utf-8", newline="") as handle:
-        writer = _csv.writer(handle, lineterminator="\n")
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(SUMMARY_HEADER)
         writer.writerows(rows)
     print(f"wrote {len(rows)} sweep cells to {outdir} (summary.csv)")

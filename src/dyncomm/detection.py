@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping
 
-from .temporal_graph import TemporalGraph, TemporalNode
+from .temporal_graph import TemporalGraph, TemporalNode, _opened
 
 _EPS = 1e-12
 
@@ -58,6 +58,13 @@ class Cover:
             dense[tn] = remap.setdefault(cid, len(remap))
         return cls(assignment=dense, n_communities=len(remap))
 
+    def membership(self, nodes: Iterable[TemporalNode]) -> list[int]:
+        """Community id of each node, in order; every node must be covered."""
+        try:
+            return [self.assignment[tn] for tn in nodes]
+        except KeyError as exc:
+            raise CoverMismatchError(f"cover misses temporal node {exc.args[0]}") from None
+
     def communities(self) -> list[list[TemporalNode]]:
         groups: list[list[TemporalNode]] = [[] for _ in range(self.n_communities)]
         for tn, cid in self.assignment.items():
@@ -75,7 +82,6 @@ class ModularityView:
     """
 
     nodes: tuple[TemporalNode, ...]
-    index: Mapping[TemporalNode, int] = field(repr=False)
     adj: tuple[tuple[tuple[int, float], ...], ...] = field(repr=False)
     self_weight: tuple[float, ...] = field(repr=False)
     degree: tuple[float, ...] = field(repr=False)
@@ -105,7 +111,6 @@ class ModularityView:
         total = sum(pair.values()) + sum(self_w)
         return cls(
             nodes=tg.nodes,
-            index=index,
             adj=tuple(tuple(a) for a in adj),
             self_weight=tuple(self_w),
             degree=tuple(degree),
@@ -117,18 +122,15 @@ class ModularityView:
         return len(self.nodes)
 
 
-def _membership(view: ModularityView, cover: Cover) -> list[int]:
-    try:
-        return [cover.assignment[tn] for tn in view.nodes]
-    except KeyError as exc:
-        raise CoverMismatchError(f"cover misses temporal node {exc.args[0]}") from None
-
-
 def modularity(view: ModularityView, cover: Cover) -> float:
     """Newman-Girvan modularity of a cover on the undirected view."""
     if view.total_weight <= 0:
         raise UndefinedModularityError("modularity undefined: graph has no edges")
-    comm = _membership(view, cover)
+    return _modularity(view, cover.membership(view.nodes))
+
+
+def _modularity(view: ModularityView, comm: list[int]) -> float:
+    """Modularity of the membership list ``comm`` (community id per node index)."""
     k = max(comm) + 1
     two_m = 2.0 * view.total_weight
     internal2 = [0.0] * k  # A-matrix sum inside each community
@@ -414,26 +416,10 @@ def brute_force_best(view: ModularityView) -> tuple[Cover, float]:
         )
     if view.total_weight <= 0:
         raise UndefinedModularityError("modularity undefined: graph has no edges")
-    pairs = [
-        (i, j, w) for i in range(n) for j, w in view.adj[i] if j > i
-    ]
-    degree = view.degree
-    self_w = view.self_weight
-    two_m = 2.0 * view.total_weight
     best_q = float("-inf")
     best: list[int] = [0] * n
     for comm in _set_partitions(n):
-        k = max(comm) + 1
-        internal2 = [0.0] * k
-        tot = [0.0] * k
-        for i in range(n):
-            ci = comm[i]
-            tot[ci] += degree[i]
-            internal2[ci] += 2.0 * self_w[i]
-        for i, j, w in pairs:
-            if comm[i] == comm[j]:
-                internal2[comm[i]] += 2.0 * w
-        q = sum(internal2[c] / two_m - (tot[c] / two_m) ** 2 for c in range(k))
+        q = _modularity(view, comm)
         if q > best_q + _EPS:
             best_q = q
             best = list(comm)
@@ -446,14 +432,11 @@ def brute_force_best(view: ModularityView) -> tuple[Cover, float]:
 
 def write_cover(cover: Cover, out: IO[str] | str | Path) -> None:
     """Write the `node,timestep,community` CSV, rows in node order."""
-    if isinstance(out, (str, Path)):
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            write_cover(cover, handle)
-        return
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(COVER_HEADER)
-    for tn, cid in cover.assignment.items():
-        writer.writerow([tn.node, tn.t, cid])
+    with _opened(out, "w") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(COVER_HEADER)
+        for tn, cid in cover.assignment.items():
+            writer.writerow([tn.node, tn.t, cid])
 
 
 def read_cover(source: IO[str] | str | Path) -> tuple[Cover, bool]:
@@ -462,26 +445,24 @@ def read_cover(source: IO[str] | str | Path) -> tuple[Cover, bool]:
     Non-contiguous community ids are re-densified; the flag reports
     whether that normalization changed anything.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", newline="") as handle:
-            return read_cover(handle)
-    reader = csv.reader(source)
     raw: dict[TemporalNode, int] = {}
-    try:
-        header = next(reader, None)
-        if header != COVER_HEADER:
-            raise ValueError(f"expected cover header {COVER_HEADER}, got {header}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"malformed cover row: {row}")
-            tn = TemporalNode(row[0], int(row[1]))
-            if tn in raw:
-                raise ValueError(f"duplicate cover row for {tn}")
-            raw[tn] = int(row[2])
-    except (ValueError, csv.Error) as exc:
-        raise ValueError(f"line {max(reader.line_num, 1)}: {exc}") from None
+    with _opened(source) as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header != COVER_HEADER:
+                raise ValueError(f"expected cover header {COVER_HEADER}, got {header}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise ValueError(f"malformed cover row: {row}")
+                tn = TemporalNode(row[0], int(row[1]))
+                if tn in raw:
+                    raise ValueError(f"duplicate cover row for {tn}")
+                raw[tn] = int(row[2])
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"line {max(reader.line_num, 1)}: {exc}") from None
     ids = sorted(set(raw.values()))
     had_gaps = ids != list(range(len(ids)))
     remap = {cid: dense for dense, cid in enumerate(ids)}

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping
 
-from .temporal_graph import RawLink
+from .temporal_graph import RawLink, _opened
 
 PlantedAssignment = dict[str, int]
 
@@ -55,6 +56,8 @@ class GeneratorConfig:
             raise ConfigError(f"p must lie in [0, 1], got {self.p}")
         if self.d <= 0:
             raise ConfigError("average out-degree d must be positive")
+        if not math.isfinite(self.d):
+            raise ConfigError(f"average out-degree d must be finite, got {self.d}")
         per_step = self.d * self.n
         if abs(per_step - round(per_step)) > 1e-9 or round(per_step) < 1:
             raise ConfigError(
@@ -78,10 +81,17 @@ class GeneratorConfig:
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, object]) -> "GeneratorConfig":
-        required = {"n_c", "m", "t_max", "w", "d", "p", "seed"}
-        missing = required - set(data)
+        required = ("n_c", "m", "t_max", "w", "d", "p", "seed")
+        missing = set(required) - set(data)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
+        # int() and float() would quietly take true as 1 and cut 2.7 to 2.
+        for key in required:
+            value = data[key]
+            if isinstance(value, bool):
+                raise ConfigError(f"config value {key} must be a number, got {value!r}")
+            if key not in ("d", "p") and isinstance(value, float) and not value.is_integer():
+                raise ConfigError(f"config value {key} must be an integer, got {value!r}")
         try:
             return cls(
                 n_c=int(data["n_c"]),
@@ -152,14 +162,6 @@ def generate(config: GeneratorConfig) -> tuple[list[RawLink], PlantedAssignment]
     return links, planted_assignment(config)
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    value: float
-    seed: int
-    links: list[RawLink]
-    assignment: PlantedAssignment
-
-
 def cell_seed(seed: int, parameter: str, value: float) -> int:
     """Stable 64-bit seed for one sweep cell, independent of run order."""
     digest = hashlib.sha256(
@@ -168,54 +170,40 @@ def cell_seed(seed: int, parameter: str, value: float) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def sweep(
-    base: GeneratorConfig,
-    parameter: str,
-    values: Sequence[float],
-    seeds: Sequence[int],
-) -> list[SweepCell]:
-    """Generate one dataset per (value, seed) pair of a parameter sweep."""
+def cell_config(
+    base: GeneratorConfig, parameter: str, value: float, seed: int
+) -> GeneratorConfig:
+    """The config of one sweep cell: ``base`` with ``parameter`` set to
+    ``value`` and the seed `cell_seed` derives from (seed, parameter, value).
+
+    Raises ConfigError for a parameter that cannot be swept or a cell whose
+    config is invalid.
+    """
     if parameter not in SWEEPABLE_PARAMETERS:
         raise ConfigError(f"sweep parameter must be one of {SWEEPABLE_PARAMETERS}")
-    if not values:
-        raise ConfigError("sweep requires at least one parameter value")
-    if not seeds:
-        raise ConfigError("sweep requires at least one seed")
-    cells = []
-    for value in values:
-        for seed in seeds:
-            config = replace(
-                base, **{parameter: value, "seed": cell_seed(seed, parameter, value)}
-            )
-            links, assignment = generate(config)
-            cells.append(SweepCell(float(value), seed, links, assignment))
-    return cells
+    return replace(base, **{parameter: value, "seed": cell_seed(seed, parameter, value)})
 
 
 def write_assignment(assignment: PlantedAssignment, out: IO[str] | str | Path) -> None:
     """Write the `label community_index` sidecar, one node per line."""
-    if isinstance(out, (str, Path)):
-        with open(out, "w", encoding="utf-8") as handle:
-            write_assignment(assignment, handle)
-        return
-    for label, community in assignment.items():
-        out.write(f"{label} {community}\n")
+    with _opened(out, "w") as handle:
+        for label, community in assignment.items():
+            handle.write(f"{label} {community}\n")
 
 
 def read_assignment(source: Iterable[str] | str | Path) -> PlantedAssignment:
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as handle:
-            return read_assignment(handle)
+    """Read the sidecar from a path, a handle or a sequence of lines."""
     assignment: PlantedAssignment = {}
-    for lineno, line in enumerate(source, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = stripped.split()
-        if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected `label community_index`")
-        try:
-            assignment[fields[0]] = int(fields[1])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+    with _opened(source) as lines:
+        for lineno, line in enumerate(lines, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            fields = stripped.split()
+            if len(fields) != 2:
+                raise ValueError(f"line {lineno}: expected `label community_index`")
+            try:
+                assignment[fields[0]] = int(fields[1])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     return assignment

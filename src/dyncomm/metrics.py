@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Hashable, Iterable, Mapping
 
-from .detection import Cover, CoverMismatchError
-from .temporal_graph import TemporalGraph, TemporalNode
+from .detection import Cover
+from .temporal_graph import TemporalGraph, TemporalNode, _opened
 
 COMMUNITY_HEADER = ["community", "z", "temporal_size", "NA", "SC", "HI", "internal_links"]
 NODE_HEADER = ["node", "lifetime", "membership", "CM", "CT"]
@@ -92,15 +92,19 @@ def heterogeneity(community: Iterable[TemporalNode], tg: TemporalGraph) -> float
     members = list(community)
     z = community_size(members)
     links = _internal_links(members, tg)
-    total = sum(link.weight for link in links)
-    if z == 1 or total == 0:
-        return 1.0
     out_weight = Counter()
     for link in links:
         out_weight[link.source.node] += link.weight
+    return _heterogeneity(z, sum(link.weight for link in links), out_weight)[0]
+
+
+def _heterogeneity(z: int, total: int, out_weight: Counter) -> tuple[float, bool]:
+    """(HI, degenerate) from z, the internal link weight and each physical
+    node's internal out-link weight; HI is 1 when degenerate."""
+    if z == 1 or total == 0:
+        return 1.0, True
     sum_p2 = sum((w / total) ** 2 for w in out_weight.values())
-    h = 1.0 / (z * sum_p2)
-    return (z * h - 1.0) / (z - 1.0)
+    return (z * (1.0 / (z * sum_p2)) - 1.0) / (z - 1.0), False
 
 
 def dissimilarity(
@@ -131,10 +135,8 @@ def dissimilarity(
 def community_reports(cover: Cover, tg: TemporalGraph) -> list[CommunityReport]:
     """All per-community metrics in one pass over the link set."""
     members: list[list[TemporalNode]] = [[] for _ in range(cover.n_communities)]
-    for tn in tg.nodes:
-        if tn not in cover.assignment:
-            raise CoverMismatchError(f"cover misses temporal node {tn}")
-        members[cover.assignment[tn]].append(tn)
+    for tn, cid in zip(tg.nodes, cover.membership(tg.nodes)):
+        members[cid].append(tn)
     internal = [0] * cover.n_communities
     selfs = [0] * cover.n_communities
     out_weight: list[Counter] = [Counter() for _ in range(cover.n_communities)]
@@ -155,12 +157,7 @@ def community_reports(cover: Cover, tg: TemporalGraph) -> list[CommunityReport]:
         size = len(group)
         total = internal[cid]
         sc = selfs[cid] / total if total else 0.0
-        degenerate = z == 1 or total == 0
-        if degenerate:
-            hi = 1.0
-        else:
-            sum_p2 = sum((w / total) ** 2 for w in out_weight[cid].values())
-            hi = (z * (1.0 / (z * sum_p2)) - 1.0) / (z - 1.0)
+        hi, degenerate = _heterogeneity(z, total, out_weight[cid])
         reports.append(
             CommunityReport(
                 community=cid,
@@ -182,16 +179,13 @@ def node_reports(cover: Cover, tg: TemporalGraph) -> list[NodeReport]:
     C_T counts community changes between consecutive active timesteps over
     lifetime - 1; a node active once has C_T = 0 by definition.
     """
-    by_node: dict[str, list[int]] = {}
-    for tn in tg.nodes:
-        if tn not in cover.assignment:
-            raise CoverMismatchError(f"cover misses temporal node {tn}")
-        by_node.setdefault(tn.node, []).append(tn.t)
+    by_node: dict[str, list[tuple[int, int]]] = {}
+    for tn, cid in zip(tg.nodes, cover.membership(tg.nodes)):
+        by_node.setdefault(tn.node, []).append((tn.t, cid))
     reports = []
-    for label, times in by_node.items():
-        times.sort()
-        comms = [cover.assignment[TemporalNode(label, t)] for t in times]
-        lifetime = len(times)
+    for label, visits in by_node.items():
+        comms = [cid for _, cid in sorted(visits)]
+        lifetime = len(comms)
         membership = len(set(comms))
         toggles = sum(1 for x, y in zip(comms, comms[1:]) if x != y)
         reports.append(
@@ -209,50 +203,50 @@ def node_reports(cover: Cover, tg: TemporalGraph) -> list[NodeReport]:
 def write_community_csv(
     reports: Iterable[CommunityReport], out: IO[str] | str | Path
 ) -> None:
-    if isinstance(out, (str, Path)):
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            write_community_csv(reports, handle)
-        return
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(COMMUNITY_HEADER)
-    for r in reports:
-        writer.writerow(
-            [r.community, r.z, r.temporal_size, repr(r.na), repr(r.sc), repr(r.hi), r.internal_links]
-        )
+    with _opened(out, "w") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(COMMUNITY_HEADER)
+        for r in reports:
+            writer.writerow(
+                [r.community, r.z, r.temporal_size, repr(r.na), repr(r.sc), repr(r.hi), r.internal_links]
+            )
 
 
 def write_node_csv(reports: Iterable[NodeReport], out: IO[str] | str | Path) -> None:
-    if isinstance(out, (str, Path)):
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            write_node_csv(reports, handle)
-        return
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(NODE_HEADER)
-    for r in reports:
-        writer.writerow([r.node, r.lifetime, r.membership, repr(r.cm), repr(r.ct)])
+    with _opened(out, "w") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(NODE_HEADER)
+        for r in reports:
+            writer.writerow([r.node, r.lifetime, r.membership, repr(r.cm), repr(r.ct)])
 
 
 def read_community_csv(source: IO[str] | str | Path) -> list[CommunityReport]:
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8", newline="") as handle:
-            return read_community_csv(handle)
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if header != COMMUNITY_HEADER:
-        raise ValueError(f"expected community header {COMMUNITY_HEADER}, got {header}")
+    """Read a community metrics CSV; errors name the offending line."""
     reports = []
-    for row in reader:
-        if not row:
-            continue
-        reports.append(
-            CommunityReport(
-                community=int(row[0]),
-                z=int(row[1]),
-                temporal_size=int(row[2]),
-                na=float(row[3]),
-                sc=float(row[4]),
-                hi=float(row[5]),
-                internal_links=int(row[6]),
-            )
-        )
+    with _opened(source) as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header != COMMUNITY_HEADER:
+                raise ValueError(f"expected community header {COMMUNITY_HEADER}, got {header}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(COMMUNITY_HEADER):
+                    raise ValueError(
+                        f"expected {len(COMMUNITY_HEADER)} fields, got {len(row)}: {row}"
+                    )
+                reports.append(
+                    CommunityReport(
+                        community=int(row[0]),
+                        z=int(row[1]),
+                        temporal_size=int(row[2]),
+                        na=float(row[3]),
+                        sc=float(row[4]),
+                        hi=float(row[5]),
+                        internal_links=int(row[6]),
+                    )
+                )
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"line {max(reader.line_num, 1)}: {exc}") from None
     return reports

@@ -14,8 +14,8 @@ from heapq import heappop, heappush
 from pathlib import Path
 from typing import IO, Iterable
 
-from .detection import Cover, CoverMismatchError
-from .temporal_graph import TemporalGraph
+from .detection import Cover
+from .temporal_graph import TemporalGraph, _opened
 
 TRACE_HEADER = ["step", "community_a", "community_b", "merged_NA", "gain"]
 
@@ -48,10 +48,7 @@ def repair(
     """
     if min_overlap < 1:
         raise ValueError("min_overlap must be >= 1")
-    try:
-        cids = [cover.assignment[tn] for tn in tg.nodes]
-    except KeyError as exc:
-        raise CoverMismatchError(f"cover misses temporal node {exc.args[0]}") from None
+    cids = cover.membership(tg.nodes)
     phys: dict[int, set[str]] = {c: set() for c in range(cover.n_communities)}
     for tn, cid in zip(tg.nodes, cids):
         phys[cid].add(tn.node)
@@ -128,13 +125,10 @@ def repair(
 
 def write_trace(steps: Iterable[MergeStep], out: IO[str] | str | Path) -> None:
     """Write the merge trace CSV `step,community_a,community_b,merged_NA,gain`."""
-    if isinstance(out, (str, Path)):
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            write_trace(steps, handle)
-        return
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TRACE_HEADER)
-    for s in steps:
-        writer.writerow(
-            [s.step, s.community_a, s.community_b, repr(s.merged_na), repr(s.gain)]
-        )
+    with _opened(out, "w") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(TRACE_HEADER)
+        for s in steps:
+            writer.writerow(
+                [s.step, s.community_a, s.community_b, repr(s.merged_na), repr(s.gain)]
+            )

@@ -8,9 +8,10 @@ timestamps, its physical projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Mapping, NamedTuple
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 RawLink = tuple[tuple[str, int], tuple[str, int]]
 
@@ -47,16 +48,11 @@ class TemporalGraph:
 
     nodes: tuple[TemporalNode, ...]
     links: tuple[TemporalLink, ...]
-    adjacency: Mapping[TemporalNode, tuple[int, ...]] = field(repr=False)
     total_weight: int = 0
 
     def __post_init__(self) -> None:
         if self.total_weight != sum(link.weight for link in self.links):
             raise ValueError("total_weight does not match the sum of link weights")
-
-    @property
-    def node_set(self) -> frozenset[TemporalNode]:
-        return frozenset(self.nodes)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -65,15 +61,6 @@ class TemporalGraph:
         for tn in self.nodes:
             seen.setdefault(tn.node, None)
         return tuple(seen)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TemporalGraph):
-            return NotImplemented
-        return (
-            self.nodes == other.nodes
-            and self.links == other.links
-            and self.total_weight == other.total_weight
-        )
 
 
 @dataclass(frozen=True)
@@ -129,9 +116,18 @@ def parse_link_file(path: str | Path, mode: str = STRICT_CITATION) -> list[RawLi
         return parse_links(handle, mode=mode)
 
 
-def format_link(link: RawLink) -> str:
-    (src, ts), (dst, td) = link
-    return f"{src} {ts} {dst} {td}"
+@contextmanager
+def _opened(target: IO[str] | Iterable[str] | str | Path, mode: str = "r") -> Iterator:
+    """Yield ``target`` itself, or the UTF-8 text file it names opened in ``mode``.
+
+    Files open with ``newline=""``: the csv module needs it, and every
+    writer in the package ends its lines with a bare line feed.
+    """
+    if isinstance(target, (str, Path)):
+        with open(target, mode, encoding="utf-8", newline="") as handle:
+            yield handle
+    else:
+        yield target
 
 
 def write_links(links: Iterable[RawLink], out: IO[str] | str | Path) -> None:
@@ -149,12 +145,9 @@ def write_links(links: Iterable[RawLink], out: IO[str] | str | Path) -> None:
             f"label {bad[0]!r} would not read back: labels must be non-empty, "
             "without whitespace, and not start with '#'"
         )
-    text = "".join([format_link(link) + "\n" for link in links])
-    if isinstance(out, (str, Path)):
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        out.write(text)
+    text = "".join([f"{src} {ts} {dst} {td}\n" for (src, ts), (dst, td) in links])
+    with _opened(out, "w") as handle:
+        handle.write(text)
 
 
 def build_temporal_graph(
@@ -180,20 +173,8 @@ def build_temporal_graph(
         total += 1
     for label, t in isolated_nodes:
         node_order.setdefault(TemporalNode(label, t), None)
-    links = tuple(
-        TemporalLink(src, dst, w) for (src, dst), w in weights.items()
-    )
-    adjacency: dict[TemporalNode, list[int]] = {tn: [] for tn in node_order}
-    for idx, link in enumerate(links):
-        adjacency[link.source].append(idx)
-        if link.target != link.source:
-            adjacency[link.target].append(idx)
-    return TemporalGraph(
-        nodes=tuple(node_order),
-        links=links,
-        adjacency={tn: tuple(idxs) for tn, idxs in adjacency.items()},
-        total_weight=total,
-    )
+    links = tuple(TemporalLink(src, dst, w) for (src, dst), w in weights.items())
+    return TemporalGraph(nodes=tuple(node_order), links=links, total_weight=total)
 
 
 def project_physical(tg: TemporalGraph) -> PhysicalGraph:
@@ -209,21 +190,20 @@ def coarsen_time(tg: TemporalGraph, k: int) -> TemporalGraph:
     """Bin timesteps by floor(t / k), merging temporal nodes that collide.
 
     Link multiplicities add; links whose endpoints collapse onto the same
-    (node, bin) become self-loops.  ``k = 1`` is the identity.
+    (node, bin) become self-loops.  Nodes and links keep first-appearance
+    order, the order a rebuild from the binned raw links would give.
+    ``k = 1`` is the identity.
     """
     if k < 1:
         raise ValueError("coarsening factor k must be >= 1")
     if k == 1:
         return tg
-    raw: list[RawLink] = []
-    for link in tg.links:
-        mapped = (
-            (link.source.node, link.source.t // k),
-            (link.target.node, link.target.t // k),
-        )
-        raw.extend([mapped] * link.weight)
-    endpoint_nodes = {tn for link in tg.links for tn in (link.source, link.target)}
-    isolated = [
-        (tn.node, tn.t // k) for tn in tg.nodes if tn not in endpoint_nodes
-    ]
-    return build_temporal_graph(raw, isolated_nodes=isolated)
+    binned = {tn: TemporalNode(tn.node, tn.t // k) for tn in tg.nodes}
+    weights: dict[tuple[TemporalNode, TemporalNode], int] = {}
+    for src, dst, w in tg.links:
+        key = (binned[src], binned[dst])
+        weights[key] = weights.get(key, 0) + w
+    links = tuple(TemporalLink(src, dst, w) for (src, dst), w in weights.items())
+    return TemporalGraph(
+        nodes=tuple(dict.fromkeys(binned.values())), links=links, total_weight=tg.total_weight
+    )

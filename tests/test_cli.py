@@ -284,6 +284,13 @@ def test_sweep_rejects_empty_values(tmp_path, capsys):
         )
         == 1
     )
+    assert (
+        main(
+            ["sweep", str(config), str(tmp_path / "out"), "--param", "p",
+             "--values", "0.5", "--seeds", ","]
+        )
+        == 1
+    )
 
 
 def test_sweep_parallel_jobs_match_serial(tmp_path):
@@ -391,3 +398,46 @@ def test_repair_names_the_disagreeing_temporal_node(tmp_path, capsys):
     cover.write_text("node,timestep,community\na,2,0\nb,1,0\nghost,9,0\n")
     assert main(["repair", str(links), str(cover), str(out)]) == 2
     assert "disagree on temporal node (ghost,9)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows, line",
+    [("0,1,2\n", 2), ("0,1,1,0.0,0.0,1.0,0\n1,2,3,x,0,0,0\n", 3), ("0,1,1,0.0,0.0,1.0,0,9\n", 2)],
+    ids=["short-row", "not-a-float", "extra-field"],
+)
+def test_bad_community_rows_name_their_line(tmp_path, capsys, rows, line):
+    communities = tmp_path / "communities.csv"
+    communities.write_text("community,z,temporal_size,NA,SC,HI,internal_links\n" + rows)
+    out = tmp_path / "profile.svg"
+    assert main(["profile", str(communities), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, sweep, message",
+    [
+        ({"d": float("inf")}, None, "d must be finite, got inf"),
+        ({"n_c": 2.7}, None, "n_c must be an integer, got 2.7"),
+        ({"seed": True}, None, "seed must be a number, got True"),
+        ({}, ("d", "inf"), "d must be finite, got inf"),
+        ({}, ("d", "nan"), "d must be finite, got nan"),
+        ({}, ("p", "0.5,1.5"), "p must lie in [0, 1], got 1.5"),
+    ],
+    ids=["json-d-inf", "json-n_c-2.7", "json-seed-true", "sweep-d-inf", "sweep-d-nan", "sweep-p-1.5"],
+)
+def test_invalid_config_values_are_config_errors(tmp_path, capsys, overrides, sweep, message):
+    config = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    if sweep is None:
+        args = ["generate", str(config), str(out / "links.txt")]
+    else:
+        param, values = sweep
+        args = ["sweep", str(config), str(out), "--param", param, "--values", values, "--seeds", "1"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -272,8 +272,8 @@ def test_louvain_close_to_exhaustive_optimum():
         if view.total_weight <= 0 or view.n_nodes > 10:
             continue
         checked += 1
-        best_cover, _ = brute_force_best(view)
-        best_q = modularity(view, best_cover)
+        best_cover, best_q = brute_force_best(view)
+        assert modularity(view, best_cover) == best_q
         q = modularity(view, louvain(view, seed=trial))
         assert q <= best_q + 1e-9
         assert q >= best_q - 0.05

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from dyncomm import ConfigError, GeneratorConfig, generate, read_assignment, sweep, write_assignment
+from dyncomm import ConfigError, GeneratorConfig, cell_config, generate, read_assignment, write_assignment
 from dyncomm.generator import cell_seed, planted_assignment
 
 BASE = dict(n_c=4, m=5, t_max=20, w=10, d=3, p=1.0, seed=20)
@@ -101,31 +101,30 @@ def test_from_mapping_validates_keys_and_types():
 
 
 def test_sweep_over_p_yields_one_dataset_per_cell():
-    cells = sweep(config(), "p", [0.5, 0.85, 1.0], [1])
-    assert [cell.value for cell in cells] == [0.5, 0.85, 1.0]
-    assert all(len(cell.links) == 1200 for cell in cells)
+    configs = [cell_config(config(), "p", value, 1) for value in [0.5, 0.85, 1.0]]
+    assert [cfg.p for cfg in configs] == [0.5, 0.85, 1.0]
+    assert all(len(generate(cfg)[0]) == 1200 for cfg in configs)
 
 
 def test_sweep_over_d_scales_link_counts():
-    cells = sweep(config(p=1.0), "d", [2, 4], [7])
-    assert [len(cell.links) for cell in cells] == [800, 1600]
+    configs = [cell_config(config(p=1.0), "d", value, 7) for value in [2, 4]]
+    assert [len(generate(cfg)[0]) for cfg in configs] == [800, 1600]
 
 
 def test_sweep_cells_are_reproducible():
-    first = sweep(config(), "p", [0.85], [3])
-    second = sweep(config(), "p", [0.85], [3])
-    assert first == second
+    first = cell_config(config(), "p", 0.85, 3)
+    assert first == cell_config(config(), "p", 0.85, 3)
+    assert first.seed == cell_seed(3, "p", 0.85)
+    assert generate(first) == generate(cell_config(config(), "p", 0.85, 3))
     assert cell_seed(3, "p", 0.85) == cell_seed(3, "p", 0.85)
     assert cell_seed(3, "p", 0.85) != cell_seed(4, "p", 0.85)
 
 
-def test_sweep_rejects_empty_inputs_and_bad_parameter():
-    with pytest.raises(ConfigError):
-        sweep(config(), "p", [], [1])
-    with pytest.raises(ConfigError):
-        sweep(config(), "p", [0.5], [])
-    with pytest.raises(ConfigError):
-        sweep(config(), "w", [5], [1])
+def test_cell_config_rejects_a_parameter_that_cannot_be_swept():
+    with pytest.raises(ConfigError, match="sweep parameter"):
+        cell_config(config(), "w", 5, 1)
+    with pytest.raises(ConfigError, match=r"p must lie in \[0, 1\]"):
+        cell_config(config(), "p", 1.5, 1)
 
 
 def test_assignment_sidecar_round_trip():

@@ -11,6 +11,7 @@ from dyncomm import (
     LinkValidationError,
     PERMISSIVE,
     STRICT_CITATION,
+    TemporalGraph,
     TemporalNode,
     build_temporal_graph,
     coarsen_time,
@@ -93,12 +94,6 @@ def test_build_four_node_citation_toy():
     assert tg.labels == ("A", "B", "C", "D")
 
 
-def test_adjacency_indexes_incident_links():
-    tg = build_temporal_graph([(("A", 2), ("B", 1)), (("A", 3), ("B", 1))])
-    b1 = TemporalNode("B", 1)
-    assert [tg.links[i] for i in tg.adjacency[b1]] == list(tg.links)
-
-
 def test_project_physical_aggregates_over_time():
     tg = build_temporal_graph([(("A", 2), ("B", 1)), (("A", 3), ("B", 1))])
     pg = project_physical(tg)
@@ -139,6 +134,35 @@ def test_coarsen_collapses_opposed_links_onto_one_pair():
     assert merged.links[0].weight == 2
 
 
+def reference_coarsen(tg: TemporalGraph, k: int) -> TemporalGraph:
+    """Coarsening by expanding every link into its raw copies and rebuilding."""
+    if k == 1:
+        return tg
+    raw = []
+    for link in tg.links:
+        mapped = (
+            (link.source.node, link.source.t // k),
+            (link.target.node, link.target.t // k),
+        )
+        raw.extend([mapped] * link.weight)
+    endpoint_nodes = {tn for link in tg.links for tn in (link.source, link.target)}
+    isolated = [(tn.node, tn.t // k) for tn in tg.nodes if tn not in endpoint_nodes]
+    return build_temporal_graph(raw, isolated_nodes=isolated)
+
+
+_cells = st.tuples(st.sampled_from("abcd"), st.integers(0, 12))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_cells, _cells), max_size=25), st.lists(_cells, max_size=6), st.integers(1, 5))
+def test_coarsen_matches_expand_and_rebuild(raw, isolated, k):
+    tg = build_temporal_graph(raw, isolated_nodes=isolated)
+    merged, expected = coarsen_time(tg, k), reference_coarsen(tg, k)
+    assert merged.nodes == expected.nodes
+    assert merged.links == expected.links
+    assert merged.total_weight == expected.total_weight == len(raw)
+
+
 def test_coarsen_rejects_zero():
     tg = build_temporal_graph([(("A", 1), ("B", 1))])
     with pytest.raises(ValueError):
@@ -147,8 +171,8 @@ def test_coarsen_rejects_zero():
 
 def test_isolated_nodes_only_when_declared():
     tg = build_temporal_graph([(("A", 1), ("B", 1))], isolated_nodes=[("C", 5)])
-    assert TemporalNode("C", 5) in tg.node_set
-    assert tg.adjacency[TemporalNode("C", 5)] == ()
+    assert TemporalNode("C", 5) in tg.nodes
+    assert all(TemporalNode("C", 5) not in link[:2] for link in tg.links)
 
 
 def test_round_trip_and_counting_invariants():

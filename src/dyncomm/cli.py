@@ -51,7 +51,6 @@ from .temporal_graph import (
     TemporalGraph,
     TemporalNode,
     build_temporal_graph,
-    coarsen_time,
     parse_link_file,
     write_links,
 )
@@ -83,11 +82,15 @@ def _positive_int(text: str) -> int:
 
 
 def _load_graph(path: str, permissive: bool, coarsen: int) -> TemporalGraph:
-    mode = PERMISSIVE if permissive else STRICT_CITATION
-    tg = build_temporal_graph(parse_link_file(path, mode=mode))
+    """Parse and validate the fine links, then build the graph at ``coarsen``.
+
+    Raw times are binned before the build, so the fine graph is never made;
+    the result equals `coarsen_time` of the fine graph.
+    """
+    raw = parse_link_file(path, mode=PERMISSIVE if permissive else STRICT_CITATION)
     if coarsen > 1:
-        tg = coarsen_time(tg, coarsen)
-    return tg
+        raw = (((src, ts // coarsen), (dst, td // coarsen)) for (src, ts), (dst, td) in raw)
+    return build_temporal_graph(raw)
 
 
 def render_profile_svg(reports: list[CommunityReport], width: int = 520, height: int = 520) -> str:

@@ -85,6 +85,9 @@ class GeneratorConfig:
         missing = set(required) - set(data)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
+        unknown = set(data) - set(required)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         # int() and float() would quietly take true as 1 and cut 2.7 to 2.
         for key in required:
             value = data[key]
@@ -202,8 +205,11 @@ def read_assignment(source: Iterable[str] | str | Path) -> PlantedAssignment:
             fields = stripped.split()
             if len(fields) != 2:
                 raise ValueError(f"line {lineno}: expected `label community_index`")
+            label = fields[0]
+            if label in assignment:
+                raise ValueError(f"line {lineno}: duplicate label {label!r}")
             try:
-                assignment[fields[0]] = int(fields[1])
+                assignment[label] = int(fields[1])
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
     return assignment

@@ -9,6 +9,7 @@ partition dissimilarity D used against planted assignments.
 from __future__ import annotations
 
 import csv
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -221,7 +222,10 @@ def write_node_csv(reports: Iterable[NodeReport], out: IO[str] | str | Path) -> 
 
 
 def read_community_csv(source: IO[str] | str | Path) -> list[CommunityReport]:
-    """Read a community metrics CSV; errors name the offending line."""
+    """Read a community metrics CSV; errors name the offending line.
+
+    NA, SC and HI must be finite: a profile cannot place ``nan`` or ``inf``.
+    """
     reports = []
     with _opened(source) as handle:
         reader = csv.reader(handle)
@@ -236,17 +240,19 @@ def read_community_csv(source: IO[str] | str | Path) -> list[CommunityReport]:
                     raise ValueError(
                         f"expected {len(COMMUNITY_HEADER)} fields, got {len(row)}: {row}"
                     )
-                reports.append(
-                    CommunityReport(
-                        community=int(row[0]),
-                        z=int(row[1]),
-                        temporal_size=int(row[2]),
-                        na=float(row[3]),
-                        sc=float(row[4]),
-                        hi=float(row[5]),
-                        internal_links=int(row[6]),
-                    )
+                report = CommunityReport(
+                    community=int(row[0]),
+                    z=int(row[1]),
+                    temporal_size=int(row[2]),
+                    na=float(row[3]),
+                    sc=float(row[4]),
+                    hi=float(row[5]),
+                    internal_links=int(row[6]),
                 )
+                for name, value in zip(COMMUNITY_HEADER[3:6], (report.na, report.sc, report.hi)):
+                    if not math.isfinite(value):
+                        raise ValueError(f"{name} must be finite, got {value}")
+                reports.append(report)
         except (ValueError, csv.Error) as exc:
             raise ValueError(f"line {max(reader.line_num, 1)}: {exc}") from None
     return reports

@@ -8,8 +8,10 @@ timestamps, its physical projection.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
@@ -150,6 +152,25 @@ def write_links(links: Iterable[RawLink], out: IO[str] | str | Path) -> None:
         handle.write(text)
 
 
+def _assemble(
+    vertices: Iterable[tuple[str, int]],
+    weights: Mapping[RawLink, int],
+    total_weight: int,
+) -> TemporalGraph:
+    """The graph over distinct ``vertices`` (in order) with one link per weighted pair.
+
+    Each vertex becomes one `TemporalNode`, and every link endpoint is that
+    same object.
+    """
+    nodes = {key: TemporalNode._make(key) for key in vertices}
+    # tuple.__new__ skips the named tuple's Python-level __new__, once per link.
+    new = tuple.__new__
+    links = tuple(
+        [new(TemporalLink, (nodes[src], nodes[dst], w)) for (src, dst), w in weights.items()]
+    )
+    return TemporalGraph(nodes=tuple(nodes.values()), links=links, total_weight=total_weight)
+
+
 def build_temporal_graph(
     raw_links: Iterable[RawLink],
     isolated_nodes: Iterable[tuple[str, int]] = (),
@@ -158,23 +179,15 @@ def build_temporal_graph(
 
     Vertices are the union of all link endpoints (plus any explicitly
     declared isolated nodes); repeated endpoint pairs aggregate into one
-    link with multiplicity weight.  Orders follow first appearance, which
-    keeps construction deterministic for a given input sequence.
+    link with multiplicity weight.  Orders follow first appearance, source
+    before target, which keeps construction deterministic for a given input
+    sequence.
     """
-    node_order: dict[TemporalNode, None] = {}
-    weights: dict[tuple[TemporalNode, TemporalNode], int] = {}
-    total = 0
-    for (src_label, src_time), (dst_label, dst_time) in raw_links:
-        src = TemporalNode(src_label, src_time)
-        dst = TemporalNode(dst_label, dst_time)
-        node_order.setdefault(src, None)
-        node_order.setdefault(dst, None)
-        weights[(src, dst)] = weights.get((src, dst), 0) + 1
-        total += 1
+    counts = Counter(raw_links)
+    vertices = dict.fromkeys(chain.from_iterable(counts))
     for label, t in isolated_nodes:
-        node_order.setdefault(TemporalNode(label, t), None)
-    links = tuple(TemporalLink(src, dst, w) for (src, dst), w in weights.items())
-    return TemporalGraph(nodes=tuple(node_order), links=links, total_weight=total)
+        vertices.setdefault((label, t), None)
+    return _assemble(vertices, counts, counts.total())
 
 
 def project_physical(tg: TemporalGraph) -> PhysicalGraph:
@@ -198,12 +211,9 @@ def coarsen_time(tg: TemporalGraph, k: int) -> TemporalGraph:
         raise ValueError("coarsening factor k must be >= 1")
     if k == 1:
         return tg
-    binned = {tn: TemporalNode(tn.node, tn.t // k) for tn in tg.nodes}
-    weights: dict[tuple[TemporalNode, TemporalNode], int] = {}
+    binned = {tn: (tn.node, tn.t // k) for tn in tg.nodes}
+    weights: dict[RawLink, int] = {}
     for src, dst, w in tg.links:
         key = (binned[src], binned[dst])
         weights[key] = weights.get(key, 0) + w
-    links = tuple(TemporalLink(src, dst, w) for (src, dst), w in weights.items())
-    return TemporalGraph(
-        nodes=tuple(dict.fromkeys(binned.values())), links=links, total_weight=tg.total_weight
-    )
+    return _assemble(dict.fromkeys(binned.values()), weights, tg.total_weight)

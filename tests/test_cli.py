@@ -6,6 +6,18 @@ import re
 
 import pytest
 
+from dyncomm import (
+    ModularityView,
+    build_temporal_graph,
+    coarsen_time,
+    community_reports,
+    louvain,
+    node_reports,
+    parse_link_file,
+    write_community_csv,
+    write_cover,
+    write_node_csv,
+)
 from dyncomm.cli import main, render_profile_svg
 from dyncomm.metrics import CommunityReport
 
@@ -71,6 +83,24 @@ def test_detect_with_coarsening_runs_end_to_end(tmp_path):
     assert main(["detect", str(links), str(cover), "--coarsen", "2"]) == 0
     rows = read_csv_rows(cover)
     assert max(int(row["timestep"]) for row in rows) <= 10
+
+
+def test_coarsened_commands_match_library_coarsen_time(tmp_path):
+    config = write_config(tmp_path, p=0.85)
+    links = tmp_path / "links.txt"
+    assert main(["generate", str(config), str(links)]) == 0
+    cli, lib = tmp_path / "cli", tmp_path / "lib"
+    lib.mkdir()
+    assert main(["detect", str(links), str(cli / "cover.csv"), "--coarsen", "3", "--seed", "4"]) == 0
+    assert main(["metrics", str(links), str(cli / "cover.csv"), "--coarsen", "3",
+                 "--community-out", str(cli / "comm.csv"), "--node-out", str(cli / "nodes.csv")]) == 0
+    tg = coarsen_time(build_temporal_graph(parse_link_file(links)), 3)
+    cover = louvain(ModularityView.from_temporal_graph(tg), seed=4)
+    write_cover(cover, lib / "cover.csv")
+    write_community_csv(community_reports(cover, tg), lib / "comm.csv")
+    write_node_csv(node_reports(cover, tg), lib / "nodes.csv")
+    for name in ("cover.csv", "comm.csv", "nodes.csv"):
+        assert (cli / name).read_bytes() == (lib / name).read_bytes(), name
 
 
 def test_detect_strict_mode_rejects_future_targets(tmp_path, capsys):
@@ -401,17 +431,24 @@ def test_repair_names_the_disagreeing_temporal_node(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "rows, line",
-    [("0,1,2\n", 2), ("0,1,1,0.0,0.0,1.0,0\n1,2,3,x,0,0,0\n", 3), ("0,1,1,0.0,0.0,1.0,0,9\n", 2)],
-    ids=["short-row", "not-a-float", "extra-field"],
+    "rows, line, message",
+    [
+        ("0,1,2\n", 2, "expected 7 fields"),
+        ("0,1,1,0.0,0.0,1.0,0\n1,2,3,x,0,0,0\n", 3, "could not convert"),
+        ("0,1,1,0.0,0.0,1.0,0,9\n", 2, "expected 7 fields"),
+        ("0,1,2,nan,inf,0,0\n", 2, "NA must be finite, got nan"),
+        ("0,1,1,0.0,0.0,1.0,0\n0,1,2,0.5,inf,0,0\n", 3, "SC must be finite, got inf"),
+        ("0,1,2,0.5,0.5,-inf,0\n", 2, "HI must be finite, got -inf"),
+    ],
+    ids=["short-row", "not-a-float", "extra-field", "na-nan", "sc-inf", "hi-minus-inf"],
 )
-def test_bad_community_rows_name_their_line(tmp_path, capsys, rows, line):
+def test_bad_community_rows_name_their_line(tmp_path, capsys, rows, line, message):
     communities = tmp_path / "communities.csv"
     communities.write_text("community,z,temporal_size,NA,SC,HI,internal_links\n" + rows)
     out = tmp_path / "profile.svg"
     assert main(["profile", str(communities), str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: line {line}: ")
+    assert err.startswith(f"error: line {line}: ") and message in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -425,8 +462,13 @@ def test_bad_community_rows_name_their_line(tmp_path, capsys, rows, line):
         ({}, ("d", "inf"), "d must be finite, got inf"),
         ({}, ("d", "nan"), "d must be finite, got nan"),
         ({}, ("p", "0.5,1.5"), "p must lie in [0, 1], got 1.5"),
+        ({"t_mx": 50, "colour": "red"}, None, "unknown config keys: ['colour', 't_mx']"),
+        ({"t_mx": 50, "colour": "red"}, ("p", "0.5"), "unknown config keys: ['colour', 't_mx']"),
     ],
-    ids=["json-d-inf", "json-n_c-2.7", "json-seed-true", "sweep-d-inf", "sweep-d-nan", "sweep-p-1.5"],
+    ids=[
+        "json-d-inf", "json-n_c-2.7", "json-seed-true", "sweep-d-inf", "sweep-d-nan", "sweep-p-1.5",
+        "json-unknown-keys", "sweep-unknown-keys",
+    ],
 )
 def test_invalid_config_values_are_config_errors(tmp_path, capsys, overrides, sweep, message):
     config = write_config(tmp_path, **overrides)

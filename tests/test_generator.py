@@ -98,6 +98,8 @@ def test_from_mapping_validates_keys_and_types():
         GeneratorConfig.from_mapping({"n_c": 4})
     with pytest.raises(ConfigError):
         GeneratorConfig.from_mapping({**BASE, "d": "three"})
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['colour', 't_mx'\]"):
+        GeneratorConfig.from_mapping({**BASE, "t_mx": 50, "colour": "red"})
 
 
 def test_sweep_over_p_yields_one_dataset_per_cell():
@@ -139,3 +141,5 @@ def test_read_assignment_errors_name_their_line():
         read_assignment(["a 0", "b x"])
     with pytest.raises(ValueError, match="^line 3: expected"):
         read_assignment(["a 0", "# comment", "b"])
+    with pytest.raises(ValueError, match="^line 2: duplicate label 'a'$"):
+        read_assignment(["a 0", "a 1"])

@@ -163,6 +163,31 @@ def test_coarsen_matches_expand_and_rebuild(raw, isolated, k):
     assert merged.total_weight == expected.total_weight == len(raw)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_cells, _cells), max_size=25), st.lists(_cells, max_size=6), st.integers(1, 5))
+def test_build_from_binned_links_matches_coarsen_time(raw, isolated, k):
+    binned = [((src, ts // k), (dst, td // k)) for (src, ts), (dst, td) in raw]
+    built = build_temporal_graph(binned, isolated_nodes=[(label, t // k) for label, t in isolated])
+    expected = coarsen_time(build_temporal_graph(raw, isolated_nodes=isolated), k)
+    assert built.nodes == expected.nodes
+    assert built.links == expected.links
+    assert built.total_weight == expected.total_weight == len(raw)
+
+
+def test_link_endpoints_are_the_graph_node_objects():
+    rng = random.Random(406)
+    for trial in range(10):
+        raw, _ = random_raw_links(rng, n_cells=rng.randint(2, 12), n_links=rng.randint(1, 40), t_span=9)
+        tg = build_temporal_graph(raw, isolated_nodes=[("iso", 7), ["iso", 8]])
+        for graph in (tg, coarsen_time(tg, 2), coarsen_time(tg, 3)):
+            node_ids = {id(tn) for tn in graph.nodes}
+            assert len(node_ids) == len(graph.nodes)
+            assert all(type(tn) is TemporalNode for tn in graph.nodes)
+            assert all(
+                id(link.source) in node_ids and id(link.target) in node_ids for link in graph.links
+            )
+
+
 def test_coarsen_rejects_zero():
     tg = build_temporal_graph([(("A", 1), ("B", 1))])
     with pytest.raises(ValueError):

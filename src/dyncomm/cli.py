@@ -8,7 +8,6 @@ constant, never the clock.  Exit codes: 0 success, 1 usage/config error,
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -17,9 +16,7 @@ from pathlib import Path
 from .detection import (
     Cover,
     CoverMismatchError,
-    GraphSizeError,
     ModularityView,
-    UndefinedModularityError,
     girvan_newman,
     louvain,
     read_cover,
@@ -44,13 +41,12 @@ from .metrics import (
 )
 from .repair import repair, write_trace
 from .temporal_graph import (
-    LinkParseError,
-    LinkValidationError,
     PERMISSIVE,
     STRICT_CITATION,
     TemporalGraph,
     TemporalNode,
     build_temporal_graph,
+    _write_table,
     parse_link_file,
     write_links,
 )
@@ -68,6 +64,10 @@ PROFILE_R_MIN = 3.0
 PROFILE_R_SCALE = 3.0
 
 
+class _UsageError(Exception):
+    """Command-line arguments that cannot be carried out as given."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
@@ -79,6 +79,24 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
+
+
+def _outputs(*paths: str | Path) -> list[Path]:
+    """The command's output paths, checked before anything is written.
+
+    Two outputs naming one file are a usage error; every parent directory
+    is created.
+    """
+    outputs = [Path(p) for p in paths]
+    seen: dict[Path, Path] = {}
+    for path in outputs:
+        key = path.resolve()
+        if key in seen:
+            raise _UsageError(f"outputs {seen[key]} and {path} name the same file")
+        seen[key] = path
+    for path in outputs:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    return outputs
 
 
 def _load_graph(path: str, permissive: bool, coarsen: int) -> TemporalGraph:
@@ -161,24 +179,21 @@ def _planted_over_nodes(tg: TemporalGraph, assignment: dict[str, int]) -> dict[T
 def cmd_generate(args: argparse.Namespace) -> int:
     config = GeneratorConfig.from_json_file(args.config)
     links, assignment = generate(config)
-    out_links = Path(args.out)
-    out_links.parent.mkdir(parents=True, exist_ok=True)
+    out_links, assignment_path = _outputs(args.out, args.assignment or f"{Path(args.out)}.assignment")
     write_links(links, out_links)
-    assignment_path = Path(args.assignment) if args.assignment else Path(str(out_links) + ".assignment")
     write_assignment(assignment, assignment_path)
     print(f"wrote {len(links)} links to {out_links} (assignment: {assignment_path})")
     return EXIT_OK
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
+    (out,) = _outputs(args.out)
     tg = _load_graph(args.links, args.permissive, args.coarsen)
     view = ModularityView.from_temporal_graph(tg)
     if args.algo == "louvain":
         cover = louvain(view, seed=args.seed)
     else:
         cover = girvan_newman(view)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_cover(cover, out)
     print(f"wrote cover with {cover.n_communities} communities to {out}")
     return EXIT_OK
@@ -203,6 +218,7 @@ def _read_cover_checked(path: str, tg: TemporalGraph) -> Cover:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
+    _outputs(*filter(None, (args.community_out, args.node_out)))
     tg = _load_graph(args.links, args.permissive, args.coarsen)
     cover = _read_cover_checked(args.cover, tg)
     communities = community_reports(cover, tg)
@@ -219,9 +235,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    (out,) = _outputs(args.out)
     reports = read_community_csv(args.communities)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(render_profile_svg(reports), encoding="utf-8")
     print(f"wrote profile of {len(reports)} communities to {out}")
     return EXIT_OK
@@ -283,30 +298,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # Validate every cell before anything is written, so a bad one fails fast.
     for value, seed in cells:
         cell_config(base, args.param, value, seed)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    (summary,) = _outputs(Path(args.outdir) / "summary.csv")
+    outdir = summary.parent
     jobs = [(base, args.param, value, seed, str(outdir)) for value, seed in cells]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_cell_job, jobs))
     else:
         rows = [_sweep_cell_job(job) for job in jobs]
-    with open(outdir / "summary.csv", "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SUMMARY_HEADER)
-        writer.writerows(rows)
+    _write_table(summary, SUMMARY_HEADER, rows)
     print(f"wrote {len(rows)} sweep cells to {outdir} (summary.csv)")
     return EXIT_OK
 
 
 def cmd_repair(args: argparse.Namespace) -> int:
+    out, trace_path = _outputs(args.out, args.trace or f"{Path(args.out)}.trace.csv")
     tg = _load_graph(args.links, args.permissive, args.coarsen)
     cover = _read_cover_checked(args.cover, tg)
     repaired, steps = repair(cover, tg, min_overlap=args.min_overlap)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_cover(repaired, out)
-    trace_path = Path(args.trace) if args.trace else Path(str(out) + ".trace.csv")
     write_trace(steps, trace_path)
     print(
         f"merged {len(steps)} community pairs; wrote cover to {out} and trace to {trace_path}"
@@ -377,19 +387,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        LinkParseError,
-        LinkValidationError,
-        CoverMismatchError,
-        GraphSizeError,
-        UndefinedModularityError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -8,7 +8,6 @@ partition dissimilarity D used against planted assignments.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from pathlib import Path
 from typing import IO, Hashable, Iterable, Mapping
 
 from .detection import Cover
-from .temporal_graph import TemporalGraph, TemporalNode, _opened
+from .temporal_graph import TemporalGraph, TemporalNode, _read_table, _write_table
 
 COMMUNITY_HEADER = ["community", "z", "temporal_size", "NA", "SC", "HI", "internal_links"]
 NODE_HEADER = ["node", "lifetime", "membership", "CM", "CT"]
@@ -204,21 +203,16 @@ def node_reports(cover: Cover, tg: TemporalGraph) -> list[NodeReport]:
 def write_community_csv(
     reports: Iterable[CommunityReport], out: IO[str] | str | Path
 ) -> None:
-    with _opened(out, "w") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(COMMUNITY_HEADER)
-        for r in reports:
-            writer.writerow(
-                [r.community, r.z, r.temporal_size, repr(r.na), repr(r.sc), repr(r.hi), r.internal_links]
-            )
+    rows = (
+        [r.community, r.z, r.temporal_size, repr(r.na), repr(r.sc), repr(r.hi), r.internal_links]
+        for r in reports
+    )
+    _write_table(out, COMMUNITY_HEADER, rows)
 
 
 def write_node_csv(reports: Iterable[NodeReport], out: IO[str] | str | Path) -> None:
-    with _opened(out, "w") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(NODE_HEADER)
-        for r in reports:
-            writer.writerow([r.node, r.lifetime, r.membership, repr(r.cm), repr(r.ct)])
+    rows = ([r.node, r.lifetime, r.membership, repr(r.cm), repr(r.ct)] for r in reports)
+    _write_table(out, NODE_HEADER, rows)
 
 
 def read_community_csv(source: IO[str] | str | Path) -> list[CommunityReport]:
@@ -227,32 +221,21 @@ def read_community_csv(source: IO[str] | str | Path) -> list[CommunityReport]:
     NA, SC and HI must be finite: a profile cannot place ``nan`` or ``inf``.
     """
     reports = []
-    with _opened(source) as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader, None)
-            if header != COMMUNITY_HEADER:
-                raise ValueError(f"expected community header {COMMUNITY_HEADER}, got {header}")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(COMMUNITY_HEADER):
-                    raise ValueError(
-                        f"expected {len(COMMUNITY_HEADER)} fields, got {len(row)}: {row}"
-                    )
-                report = CommunityReport(
-                    community=int(row[0]),
-                    z=int(row[1]),
-                    temporal_size=int(row[2]),
-                    na=float(row[3]),
-                    sc=float(row[4]),
-                    hi=float(row[5]),
-                    internal_links=int(row[6]),
-                )
-                for name, value in zip(COMMUNITY_HEADER[3:6], (report.na, report.sc, report.hi)):
-                    if not math.isfinite(value):
-                        raise ValueError(f"{name} must be finite, got {value}")
-                reports.append(report)
-        except (ValueError, csv.Error) as exc:
-            raise ValueError(f"line {max(reader.line_num, 1)}: {exc}") from None
+
+    def add_row(row: list[str]) -> None:
+        report = CommunityReport(
+            community=int(row[0]),
+            z=int(row[1]),
+            temporal_size=int(row[2]),
+            na=float(row[3]),
+            sc=float(row[4]),
+            hi=float(row[5]),
+            internal_links=int(row[6]),
+        )
+        for name, value in zip(COMMUNITY_HEADER[3:6], (report.na, report.sc, report.hi)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        reports.append(report)
+
+    _read_table(source, "community", COMMUNITY_HEADER, add_row)
     return reports

@@ -7,7 +7,6 @@ fragments into physically-cohesive clusters.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from collections import Counter
 from heapq import heappop, heappush
@@ -15,7 +14,7 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from .detection import Cover
-from .temporal_graph import TemporalGraph, _opened
+from .temporal_graph import TemporalGraph, _write_table
 
 TRACE_HEADER = ["step", "community_a", "community_b", "merged_NA", "gain"]
 
@@ -125,10 +124,5 @@ def repair(
 
 def write_trace(steps: Iterable[MergeStep], out: IO[str] | str | Path) -> None:
     """Write the merge trace CSV `step,community_a,community_b,merged_NA,gain`."""
-    with _opened(out, "w") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
-        for s in steps:
-            writer.writerow(
-                [s.step, s.community_a, s.community_b, repr(s.merged_na), repr(s.gain)]
-            )
+    rows = ([s.step, s.community_a, s.community_b, repr(s.merged_na), repr(s.gain)] for s in steps)
+    _write_table(out, TRACE_HEADER, rows)

@@ -8,12 +8,13 @@ timestamps, its physical projection.
 
 from __future__ import annotations
 
+import csv
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 RawLink = tuple[tuple[str, int], tuple[str, int]]
 
@@ -130,6 +131,38 @@ def _opened(target: IO[str] | Iterable[str] | str | Path, mode: str = "r") -> It
             yield handle
     else:
         yield target
+
+
+def _write_table(out: IO[str] | str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Write a CSV table: ``header``, then one line per row, each ended by a bare line feed."""
+    with _opened(out, "w") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_table(
+    source: IO[str] | str | Path, name: str, header: list[str], add_row: Callable[[list[str]], None]
+) -> None:
+    """Check a CSV table's header, then pass each non-blank row to ``add_row``.
+
+    A row must have one field per header column.  Any error, ``add_row``'s
+    included, is re-raised as a ValueError that names its line.
+    """
+    with _opened(source) as handle:
+        reader = csv.reader(handle)
+        try:
+            found = next(reader, None)
+            if found != header:
+                raise ValueError(f"expected {name} header {header}, got {found}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}: {row}")
+                add_row(row)
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"line {max(reader.line_num, 1)}: {exc}") from None
 
 
 def write_links(links: Iterable[RawLink], out: IO[str] | str | Path) -> None:

@@ -483,3 +483,37 @@ def test_invalid_config_values_are_config_errors(tmp_path, capsys, overrides, sw
     assert err.startswith("config error: ") and message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, code, written",
+    [
+        (["generate", "config.json", "out/links.txt", "--assignment", "new/a.txt"], 0,
+         ["new/a.txt", "out/links.txt"]),
+        (["generate", "config.json", "x.txt", "--assignment", "x.txt"], 1, []),
+        (["repair", "data.txt", "cover.csv", "r.csv", "--trace", "r.csv"], 1, []),
+        (["metrics", "data.txt", "cover.csv", "--community-out", "m.csv", "--node-out", "m.csv"], 1, []),
+        (["repair", "data.txt", "cover.csv", "r.csv", "--trace", "nodir/t.csv"], 0,
+         ["nodir/t.csv", "r.csv"]),
+        (["metrics", "data.txt", "cover.csv", "--community-out", "c.csv", "--node-out", "nodir2/n.csv"], 0,
+         ["c.csv", "nodir2/n.csv"]),
+    ],
+    ids=[
+        "generate-new-dirs", "generate-same-file", "repair-same-file", "metrics-same-file",
+        "repair-new-dir", "metrics-new-dir",
+    ],
+)
+def test_output_paths_are_checked_before_writing(tmp_path, monkeypatch, capsys, args, code, written):
+    monkeypatch.chdir(tmp_path)
+    inputs = {"config.json", "data.txt", "cover.csv"}
+    write_config(tmp_path)
+    (tmp_path / "data.txt").write_text("a 2 b 1\n")
+    (tmp_path / "cover.csv").write_text("node,timestep,community\na,2,0\nb,1,0\n")
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("usage error: ") and "name the same file" in err
+    files = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
+    assert [f for f in files if f not in inputs] == written
+    assert all((tmp_path / f).stat().st_size > 0 for f in written)

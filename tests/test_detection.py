@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import random
 from collections import deque
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dyncomm import (
     Cover,
@@ -278,6 +280,51 @@ def test_louvain_close_to_exhaustive_optimum():
         assert q <= best_q + 1e-9
         assert q >= best_q - 0.05
     assert checked >= 15
+
+
+_cells = st.tuples(st.sampled_from("abc"), st.integers(0, 2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(_cells, _cells), min_size=1, max_size=25),
+    st.lists(_cells, max_size=4),
+    st.lists(st.integers(0, 3), min_size=9, max_size=9),
+)
+def test_modularity_matches_the_dense_formula(raw, isolated, labels):
+    # Repeated links add weight, (x, x) links are self-loops and the
+    # declared cells no link touches are isolated nodes.
+    tg = build_temporal_graph(raw, isolated_nodes=isolated)
+    view = ModularityView.from_temporal_graph(tg)
+    cover = Cover.from_assignment(dict(zip(tg.nodes, labels)))
+    n = len(tg.nodes)
+    index = {tn: i for i, tn in enumerate(tg.nodes)}
+    a = [[0] * n for _ in range(n)]
+    for src, dst, w in tg.links:
+        a[index[src]][index[dst]] += w
+        a[index[dst]][index[src]] += w
+    k = [sum(row) for row in a]
+    two_m = sum(k)
+    c = [cover.assignment[tn] for tn in tg.nodes]
+    dense = sum(
+        a[i][j] - k[i] * k[j] / two_m for i in range(n) for j in range(n) if c[i] == c[j]
+    ) / two_m
+    assert modularity(view, cover) == pytest.approx(dense, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_louvain_ignores_adjacency_order(monkeypatch, seed):
+    import dyncomm.detection as detection
+
+    folds = []
+    fold_by = detection._fold_by
+    monkeypatch.setattr(detection, "_fold_by", lambda *args: folds.append(1) or fold_by(*args))
+    cfg = GeneratorConfig(n_c=4, m=6, t_max=12, w=10, d=3, p=0.8, seed=seed)
+    view = ModularityView.from_temporal_graph(build_temporal_graph(generate(cfg)[0]))
+    cover = louvain(view, seed=seed)
+    assert len(folds) >= 2  # two levels aggregated, each from the level before
+    reversed_view = dataclasses.replace(view, adj=tuple(row[::-1] for row in view.adj))
+    assert louvain(reversed_view, seed=seed).assignment == cover.assignment
 
 
 def test_cover_requires_contiguous_ids():

@@ -31,12 +31,9 @@ from .metrics import (
     CommunityReport,
     NodeReport,
     community_reports,
-    community_size,
     dissimilarity,
-    heterogeneity,
     node_activity,
     node_reports,
-    self_citation,
     write_community_csv,
     write_node_csv,
 )
@@ -45,7 +42,6 @@ from .temporal_graph import (
     LinkParseError,
     LinkValidationError,
     PERMISSIVE,
-    PhysicalGraph,
     STRICT_CITATION,
     TemporalGraph,
     TemporalLink,
@@ -54,7 +50,6 @@ from .temporal_graph import (
     coarsen_time,
     parse_link_file,
     parse_links,
-    project_physical,
     write_links,
 )
 
@@ -71,7 +66,6 @@ __all__ = [
     "ModularityView",
     "NodeReport",
     "PERMISSIVE",
-    "PhysicalGraph",
     "STRICT_CITATION",
     "TemporalGraph",
     "TemporalLink",
@@ -82,22 +76,18 @@ __all__ = [
     "cell_config",
     "coarsen_time",
     "community_reports",
-    "community_size",
     "dissimilarity",
     "generate",
     "girvan_newman",
-    "heterogeneity",
     "louvain",
     "modularity",
     "node_activity",
     "node_reports",
     "parse_link_file",
     "parse_links",
-    "project_physical",
     "read_assignment",
     "read_cover",
     "repair",
-    "self_citation",
     "write_assignment",
     "write_community_csv",
     "write_cover",

@@ -59,7 +59,8 @@ EXIT_DATA = 2
 
 SUMMARY_HEADER = ["value", "seed", "communities", "D", "mean_NA", "mean_SC", "mean_HI", "mean_z"]
 
-# Profile disk radius: r_min + k * log(1 + z), monotone in z.
+# Profile: a square PROFILE_SIZE px wide; disk radius r_min + k * log(1 + z), monotone in z.
+PROFILE_SIZE = 520
 PROFILE_R_MIN = 3.0
 PROFILE_R_SCALE = 3.0
 
@@ -81,19 +82,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _outputs(*paths: str | Path) -> list[Path]:
+def _outputs(inputs: list[str], *paths: str | Path) -> list[Path]:
     """The command's output paths, checked before anything is written.
 
-    Two outputs naming one file are a usage error; every parent directory
-    is created.
+    An output that names an input, or another output, is a usage error;
+    every parent directory is created.
     """
     outputs = [Path(p) for p in paths]
-    seen: dict[Path, Path] = {}
+    seen = {Path(p).resolve(): f"input {p}" for p in inputs}
     for path in outputs:
         key = path.resolve()
         if key in seen:
-            raise _UsageError(f"outputs {seen[key]} and {path} name the same file")
-        seen[key] = path
+            raise _UsageError(f"{seen[key]} and output {path} name the same file")
+        seen[key] = f"output {path}"
     for path in outputs:
         path.parent.mkdir(parents=True, exist_ok=True)
     return outputs
@@ -111,36 +112,36 @@ def _load_graph(path: str, permissive: bool, coarsen: int) -> TemporalGraph:
     return build_temporal_graph(raw)
 
 
-def render_profile_svg(reports: list[CommunityReport], width: int = 520, height: int = 520) -> str:
+def render_profile_svg(reports: list[CommunityReport]) -> str:
     """Scatter of communities at (NA, SC) with log-scaled disk radii."""
+    size = PROFILE_SIZE
     margin = 60.0
-    plot_w = width - 2 * margin
-    plot_h = height - 2 * margin
+    plot = size - 2 * margin
 
     def sx(na: float) -> float:
-        return margin + na * plot_w
+        return margin + na * plot
 
     def sy(sc: float) -> float:
-        return height - margin - sc * plot_h
+        return size - margin - sc * plot
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">',
+        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<line x1="{margin}" y1="{size - margin}" x2="{size - margin}" '
+        f'y2="{size - margin}" stroke="black"/>',
+        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{size - margin}" '
         f'stroke="black"/>',
     ]
     for tick in (0.0, 0.25, 0.5, 0.75, 1.0):
         x = sx(tick)
         y = sy(tick)
         parts.append(
-            f'<line x1="{x}" y1="{height - margin}" x2="{x}" y2="{height - margin + 5}" '
+            f'<line x1="{x}" y1="{size - margin}" x2="{x}" y2="{size - margin + 5}" '
             f'stroke="black"/>'
         )
         parts.append(
-            f'<text x="{x}" y="{height - margin + 18}" font-size="10" '
+            f'<text x="{x}" y="{size - margin + 18}" font-size="10" '
             f'text-anchor="middle">{tick:g}</text>'
         )
         parts.append(
@@ -151,12 +152,12 @@ def render_profile_svg(reports: list[CommunityReport], width: int = 520, height:
             f'text-anchor="end">{tick:g}</text>'
         )
     parts.append(
-        f'<text x="{width / 2}" y="{height - 20}" font-size="12" '
+        f'<text x="{size / 2}" y="{size - 20}" font-size="12" '
         f'text-anchor="middle">NA</text>'
     )
     parts.append(
-        f'<text x="18" y="{height / 2}" font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 18 {height / 2})">SC</text>'
+        f'<text x="18" y="{size / 2}" font-size="12" text-anchor="middle" '
+        f'transform="rotate(-90 18 {size / 2})">SC</text>'
     )
     for r in reports:
         radius = PROFILE_R_MIN + PROFILE_R_SCALE * math.log1p(r.z)
@@ -178,8 +179,10 @@ def _planted_over_nodes(tg: TemporalGraph, assignment: dict[str, int]) -> dict[T
 
 def cmd_generate(args: argparse.Namespace) -> int:
     config = GeneratorConfig.from_json_file(args.config)
+    out_links, assignment_path = _outputs(
+        [args.config], args.out, args.assignment or f"{Path(args.out)}.assignment"
+    )
     links, assignment = generate(config)
-    out_links, assignment_path = _outputs(args.out, args.assignment or f"{Path(args.out)}.assignment")
     write_links(links, out_links)
     write_assignment(assignment, assignment_path)
     print(f"wrote {len(links)} links to {out_links} (assignment: {assignment_path})")
@@ -187,7 +190,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    (out,) = _outputs(args.out)
+    (out,) = _outputs([args.links], args.out)
     tg = _load_graph(args.links, args.permissive, args.coarsen)
     view = ModularityView.from_temporal_graph(tg)
     if args.algo == "louvain":
@@ -218,7 +221,7 @@ def _read_cover_checked(path: str, tg: TemporalGraph) -> Cover:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    _outputs(*filter(None, (args.community_out, args.node_out)))
+    _outputs([args.links, args.cover], *filter(None, (args.community_out, args.node_out)))
     tg = _load_graph(args.links, args.permissive, args.coarsen)
     cover = _read_cover_checked(args.cover, tg)
     communities = community_reports(cover, tg)
@@ -235,7 +238,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    (out,) = _outputs(args.out)
+    (out,) = _outputs([args.communities], args.out)
     reports = read_community_csv(args.communities)
     out.write_text(render_profile_svg(reports), encoding="utf-8")
     print(f"wrote profile of {len(reports)} communities to {out}")
@@ -298,7 +301,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # Validate every cell before anything is written, so a bad one fails fast.
     for value, seed in cells:
         cell_config(base, args.param, value, seed)
-    (summary,) = _outputs(Path(args.outdir) / "summary.csv")
+    (summary,) = _outputs([args.config], Path(args.outdir) / "summary.csv")
     outdir = summary.parent
     jobs = [(base, args.param, value, seed, str(outdir)) for value, seed in cells]
     if args.jobs > 1:
@@ -312,7 +315,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_repair(args: argparse.Namespace) -> int:
-    out, trace_path = _outputs(args.out, args.trace or f"{Path(args.out)}.trace.csv")
+    out, trace_path = _outputs(
+        [args.links, args.cover], args.out, args.trace or f"{Path(args.out)}.trace.csv"
+    )
     tg = _load_graph(args.links, args.permissive, args.coarsen)
     cover = _read_cover_checked(args.cover, tg)
     repaired, steps = repair(cover, tg, min_overlap=args.min_overlap)

@@ -112,7 +112,7 @@ class GeneratorConfig:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "GeneratorConfig":
-        with open(path, encoding="utf-8") as handle:
+        with _opened(path) as handle:
             try:
                 data = json.load(handle)
             except json.JSONDecodeError as exc:

@@ -30,7 +30,6 @@ class CommunityReport:
     sc: float
     hi: float
     internal_links: int
-    hi_degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -42,69 +41,12 @@ class NodeReport:
     ct: float
 
 
-def community_size(community: Iterable[TemporalNode]) -> int:
-    """Number of distinct physical nodes participating in the community."""
-    members = set(tn.node for tn in community)
-    if not members:
-        raise ValueError("community must not be empty")
-    return len(members)
-
-
 def node_activity(community: Iterable[TemporalNode]) -> float:
     """NA = 1 - z/|C|: recurrence of node participation over timesteps."""
     members = list(community)
     if not members:
         raise ValueError("community must not be empty")
-    return 1.0 - community_size(members) / len(members)
-
-
-def _internal_links(community: Iterable[TemporalNode], tg: TemporalGraph):
-    inside = set(community)
-    if not inside:
-        raise ValueError("community must not be empty")
-    return [
-        link for link in tg.links if link.source in inside and link.target in inside
-    ]
-
-
-def self_citation(community: Iterable[TemporalNode], tg: TemporalGraph) -> float:
-    """Weight fraction of internal links joining two instances of one node.
-
-    0 by convention when the community has no internal links.
-    """
-    links = _internal_links(community, tg)
-    total = sum(link.weight for link in links)
-    if total == 0:
-        return 0.0
-    selfs = sum(
-        link.weight for link in links if link.source.node == link.target.node
-    )
-    return selfs / total
-
-
-def heterogeneity(community: Iterable[TemporalNode], tg: TemporalGraph) -> float:
-    """Rescaled inverse-Herfindahl balance of internal out-link weight.
-
-    p_i is each physical node's share of internal link weight sourced by
-    it; h = 1/(z * sum p_i^2) is rescaled from [1/z, 1] to [0, 1].
-    Degenerate cases (z = 1, or no internal links) are 1 by convention.
-    """
-    members = list(community)
-    z = community_size(members)
-    links = _internal_links(members, tg)
-    out_weight = Counter()
-    for link in links:
-        out_weight[link.source.node] += link.weight
-    return _heterogeneity(z, sum(link.weight for link in links), out_weight)[0]
-
-
-def _heterogeneity(z: int, total: int, out_weight: Counter) -> tuple[float, bool]:
-    """(HI, degenerate) from z, the internal link weight and each physical
-    node's internal out-link weight; HI is 1 when degenerate."""
-    if z == 1 or total == 0:
-        return 1.0, True
-    sum_p2 = sum((w / total) ** 2 for w in out_weight.values())
-    return (z * (1.0 / (z * sum_p2)) - 1.0) / (z - 1.0), False
+    return 1.0 - len(set(tn.node for tn in members)) / len(members)
 
 
 def dissimilarity(
@@ -133,7 +75,12 @@ def dissimilarity(
 
 
 def community_reports(cover: Cover, tg: TemporalGraph) -> list[CommunityReport]:
-    """All per-community metrics in one pass over the link set."""
+    """All per-community metrics in one pass over the link set.
+
+    SC is 0 without internal links.  HI rescales h = 1/(z * sum p_i^2), p_i
+    being node i's share of internal out-link weight, from [1/z, 1] to
+    [0, 1]; it is 1 by convention when z = 1 or without internal links.
+    """
     members: list[list[TemporalNode]] = [[] for _ in range(cover.n_communities)]
     for tn, cid in zip(tg.nodes, cover.membership(tg.nodes)):
         members[cid].append(tn)
@@ -157,7 +104,11 @@ def community_reports(cover: Cover, tg: TemporalGraph) -> list[CommunityReport]:
         size = len(group)
         total = internal[cid]
         sc = selfs[cid] / total if total else 0.0
-        hi, degenerate = _heterogeneity(z, total, out_weight[cid])
+        if z == 1 or total == 0:
+            hi = 1.0
+        else:
+            sum_p2 = sum((w / total) ** 2 for w in out_weight[cid].values())
+            hi = (z * (1.0 / (z * sum_p2)) - 1.0) / (z - 1.0)
         reports.append(
             CommunityReport(
                 community=cid,
@@ -167,7 +118,6 @@ def community_reports(cover: Cover, tg: TemporalGraph) -> list[CommunityReport]:
                 sc=sc,
                 hi=hi,
                 internal_links=total,
-                hi_degenerate=degenerate,
             )
         )
     return reports

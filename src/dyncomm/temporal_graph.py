@@ -2,13 +2,13 @@
 
 A link file row records that a source (node, time) cites a destination
 (node, time), where the two timestamps may differ.  From such rows we build
-the temporal graph (vertices are (node, timestep) pairs) and, by dropping
-timestamps, its physical projection.
+the temporal graph, whose vertices are (node, timestep) pairs.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -57,26 +57,6 @@ class TemporalGraph:
         if self.total_weight != sum(link.weight for link in self.links):
             raise ValueError("total_weight does not match the sum of link weights")
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        """Physical node labels in first-appearance order."""
-        seen: dict[str, None] = {}
-        for tn in self.nodes:
-            seen.setdefault(tn.node, None)
-        return tuple(seen)
-
-
-@dataclass(frozen=True)
-class PhysicalGraph:
-    """Time-aggregated projection: edge weight counts raw links between the pair."""
-
-    nodes: tuple[str, ...]
-    edges: Mapping[tuple[str, str], int]
-
-    @property
-    def total_weight(self) -> int:
-        return sum(self.edges.values())
-
 
 def parse_links(lines: Iterable[str], mode: str = STRICT_CITATION) -> list[RawLink]:
     """Parse a link stream into the ordered raw-link multiset.
@@ -115,7 +95,7 @@ def parse_links(lines: Iterable[str], mode: str = STRICT_CITATION) -> list[RawLi
 
 
 def parse_link_file(path: str | Path, mode: str = STRICT_CITATION) -> list[RawLink]:
-    with open(path, encoding="utf-8") as handle:
+    with _opened(path) as handle:
         return parse_links(handle, mode=mode)
 
 
@@ -124,11 +104,22 @@ def _opened(target: IO[str] | Iterable[str] | str | Path, mode: str = "r") -> It
     """Yield ``target`` itself, or the UTF-8 text file it names opened in ``mode``.
 
     Files open with ``newline=""``: the csv module needs it, and every
-    writer in the package ends its lines with a bare line feed.
+    writer in the package ends its lines with a bare line feed.  A file
+    that is not UTF-8 raises a ValueError naming the line of its first bad byte.
     """
     if isinstance(target, (str, Path)):
         with open(target, mode, encoding="utf-8", newline="") as handle:
-            yield handle
+            try:
+                yield handle
+            except UnicodeDecodeError:
+                data = Path(target).read_bytes()
+                try:
+                    data.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    before = data[: exc.start].decode("utf-8")
+                    line = len(io.StringIO(before + "x", newline="").readlines())
+                    raise ValueError(f"line {line}: not UTF-8 text") from None
+                raise
     else:
         yield target
 
@@ -161,6 +152,8 @@ def _read_table(
                 if len(row) != len(header):
                     raise ValueError(f"expected {len(header)} fields, got {len(row)}: {row}")
                 add_row(row)
+        except UnicodeDecodeError:
+            raise  # `_opened` names its line
         except (ValueError, csv.Error) as exc:
             raise ValueError(f"line {max(reader.line_num, 1)}: {exc}") from None
 
@@ -221,15 +214,6 @@ def build_temporal_graph(
     for label, t in isolated_nodes:
         vertices.setdefault((label, t), None)
     return _assemble(vertices, counts, counts.total())
-
-
-def project_physical(tg: TemporalGraph) -> PhysicalGraph:
-    """Aggregate over the whole timescale into a directed physical graph."""
-    edges: dict[tuple[str, str], int] = {}
-    for link in tg.links:
-        key = (link.source.node, link.target.node)
-        edges[key] = edges.get(key, 0) + link.weight
-    return PhysicalGraph(nodes=tg.labels, edges=edges)
 
 
 def coarsen_time(tg: TemporalGraph, k: int) -> TemporalGraph:

@@ -5,7 +5,14 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+from hypothesis import settings
+
 from dyncomm import TemporalNode, build_temporal_graph
+
+# Property tests draw the same examples on every run and have no time limit,
+# so the suite's verdict never depends on the run or on the machine's speed.
+settings.register_profile("dyncomm", deadline=None, derandomize=True)
+settings.load_profile("dyncomm")
 
 
 def barbell_graph():

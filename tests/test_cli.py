@@ -497,18 +497,29 @@ def test_invalid_config_values_are_config_errors(tmp_path, capsys, overrides, sw
          ["nodir/t.csv", "r.csv"]),
         (["metrics", "data.txt", "cover.csv", "--community-out", "c.csv", "--node-out", "nodir2/n.csv"], 0,
          ["c.csv", "nodir2/n.csv"]),
+        (["generate", "config.json", "config.json"], 1, []),
+        (["generate", "config.json", "x.txt", "--assignment", "./config.json"], 1, []),
+        (["detect", "data.txt", "data.txt"], 1, []),
+        (["metrics", "data.txt", "cover.csv", "--node-out", "data.txt"], 1, []),
+        (["metrics", "data.txt", "cover.csv", "--community-out", "sub/../cover.csv"], 1, []),
+        (["repair", "data.txt", "cover.csv", "cover.csv"], 1, []),
+        (["repair", "data.txt", "cover.csv", "r.csv", "--trace", "data.txt"], 1, []),
+        (["profile", "comm.csv", "comm.csv"], 1, []),
     ],
     ids=[
         "generate-new-dirs", "generate-same-file", "repair-same-file", "metrics-same-file",
-        "repair-new-dir", "metrics-new-dir",
+        "repair-new-dir", "metrics-new-dir", "generate-config", "generate-assignment-config",
+        "detect-links", "metrics-links", "metrics-cover", "repair-in-place", "repair-trace-links",
+        "profile-communities",
     ],
 )
 def test_output_paths_are_checked_before_writing(tmp_path, monkeypatch, capsys, args, code, written):
     monkeypatch.chdir(tmp_path)
-    inputs = {"config.json", "data.txt", "cover.csv"}
     write_config(tmp_path)
     (tmp_path / "data.txt").write_text("a 2 b 1\n")
     (tmp_path / "cover.csv").write_text("node,timestep,community\na,2,0\nb,1,0\n")
+    (tmp_path / "comm.csv").write_text("community,z,temporal_size,NA,SC,HI,internal_links\n")
+    inputs = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert main(args) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -517,3 +528,28 @@ def test_output_paths_are_checked_before_writing(tmp_path, monkeypatch, capsys, 
     files = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
     assert [f for f in files if f not in inputs] == written
     assert all((tmp_path / f).stat().st_size > 0 for f in written)
+    assert {name: (tmp_path / name).read_bytes() for name in inputs} == inputs
+
+
+@pytest.mark.parametrize("bad_file", ["links", "cover", "config"])
+def test_undecodable_byte_names_its_line(tmp_path, capsys, bad_file):
+    # 1500 lines put the bad byte past the decoder's first 8 KiB chunk.
+    links = tmp_path / "links.txt"
+    cover = tmp_path / "cover.csv"
+    links.write_text("a 2 b 1\n")
+    cover.write_text("node,timestep,community\na,2,0\nb,1,0\n")
+    if bad_file == "links":
+        links.write_bytes(b"a 2 b 1\n" * 1500 + b"a 2 \xff 1\n")
+        args, line = ["detect", str(links), str(tmp_path / "out.csv")], 1501
+    elif bad_file == "cover":
+        rows = b"".join(b"n%d,1,0\n" % i for i in range(1500))
+        cover.write_bytes(b"node,timestep,community\n" + rows + b"\xff,1,0\n")
+        args, line = ["metrics", str(links), str(cover)], 1502
+    else:
+        config = write_config(tmp_path)
+        config.write_bytes(config.read_bytes().replace(b", ", b",\n").replace(b'"seed"', b'"s\xffd"'))
+        args, line = ["generate", str(config), str(tmp_path / "out" / "links.txt")], 7
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: line {line}: not UTF-8 text\n"
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out").exists()

@@ -285,7 +285,7 @@ def test_louvain_close_to_exhaustive_optimum():
 _cells = st.tuples(st.sampled_from("abc"), st.integers(0, 2))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(
     st.lists(st.tuples(_cells, _cells), min_size=1, max_size=25),
     st.lists(_cells, max_size=4),

@@ -1,26 +1,22 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dyncomm import (
     Cover,
     CoverMismatchError,
-    GeneratorConfig,
-    ModularityView,
     TemporalNode,
     build_temporal_graph,
     community_reports,
-    community_size,
     dissimilarity,
-    generate,
-    heterogeneity,
-    louvain,
     node_activity,
     node_reports,
-    self_citation,
     write_community_csv,
     write_node_csv,
 )
@@ -33,11 +29,21 @@ def tn(label: str, t: int) -> TemporalNode:
     return TemporalNode(label, t)
 
 
-def test_community_size_counts_distinct_physical_nodes():
-    assert community_size([tn("A", 1), tn("A", 2), tn("B", 1)]) == 2
-    assert community_size([tn("A", 5)]) == 1
-    with pytest.raises(ValueError):
-        community_size([])
+def report(tg, groups=None, community=0):
+    """The community_reports row of ``community`` under a cover of ``groups``
+    (default: every node in one community)."""
+    return community_reports(cover_for(tg, groups or [tg.nodes]), tg)[community]
+
+
+def test_z_counts_distinct_physical_nodes():
+    three = build_temporal_graph([], isolated_nodes=[("A", 1), ("A", 2), ("B", 1)])
+    assert report(three).z == 2
+    lone = build_temporal_graph([], isolated_nodes=[("A", 5)])
+    assert report(lone).z == 1
+    # community 1 holds no node of the graph
+    ghost = Cover(assignment={tn("A", 5): 0, tn("B", 1): 1}, n_communities=2)
+    with pytest.raises(ValueError, match="community 1 has no temporal nodes"):
+        community_reports(ghost, lone)
 
 
 def test_node_activity_examples():
@@ -49,9 +55,9 @@ def test_node_activity_examples():
         node_activity([])
 
 
-def test_self_citation_examples():
+def test_sc_examples():
     all_self = build_temporal_graph([(("v", 2), ("v", 1)), (("v", 3), ("v", 2))])
-    assert self_citation(all_self.nodes, all_self) == 1.0
+    assert report(all_self).sc == 1.0
 
     # 2 self-citations among 5 internal unit links
     two_of_five = build_temporal_graph(
@@ -63,11 +69,11 @@ def test_self_citation_examples():
             (("a", 3), ("b", 2)),
         ]
     )
-    assert self_citation(two_of_five.nodes, two_of_five) == pytest.approx(0.4)
+    assert report(two_of_five).sc == pytest.approx(0.4)
 
     # a community with no internal links
     graph = build_temporal_graph([(("a", 1), ("b", 1))], isolated_nodes=[("z", 4)])
-    assert self_citation([tn("z", 4)], graph) == 0.0
+    assert report(graph, [[tn("a", 1), tn("b", 1)], [tn("z", 4)]], community=1).sc == 0.0
 
 
 def test_heterogeneity_balanced_and_concentrated():
@@ -80,7 +86,7 @@ def test_heterogeneity_balanced_and_concentrated():
             (("d", 2), ("a", 1)),
         ]
     )
-    assert heterogeneity(balanced.nodes, balanced) == pytest.approx(1.0)
+    assert report(balanced).hi == pytest.approx(1.0)
 
     concentrated = build_temporal_graph(
         [
@@ -89,7 +95,7 @@ def test_heterogeneity_balanced_and_concentrated():
             (("a", 3), ("d", 1)),
         ]
     )
-    assert heterogeneity(concentrated.nodes, concentrated) == pytest.approx(0.0)
+    assert report(concentrated).hi == pytest.approx(0.0)
 
 
 def test_heterogeneity_weighted_shares():
@@ -101,29 +107,14 @@ def test_heterogeneity_weighted_shares():
     )
     graph = build_temporal_graph(raw)
     expected = (1 / 0.38 - 1) / 2
-    assert heterogeneity(graph.nodes, graph) == pytest.approx(expected, abs=1e-12)
+    assert report(graph).hi == pytest.approx(expected, abs=1e-12)
 
 
 def test_heterogeneity_degenerate_cases():
     solo = build_temporal_graph([(("a", 2), ("a", 1))])
-    assert heterogeneity(solo.nodes, solo) == 1.0
+    assert report(solo).hi == 1.0
     no_internal = build_temporal_graph([(("a", 1), ("b", 1))], isolated_nodes=[("z", 1)])
-    assert heterogeneity([tn("z", 1)], no_internal) == 1.0
-
-
-def test_reports_flag_degenerate_hi():
-    tg = build_temporal_graph([(("a", 2), ("a", 1)), (("b", 2), ("c", 1))])
-    cover = cover_for(
-        tg, [[tn("a", 1), tn("a", 2)], [tn("b", 2)], [tn("c", 1)]]
-    )
-    reports = {r.community: r for r in community_reports(cover, tg)}
-    assert reports[0].hi_degenerate      # z = 1
-    assert reports[1].hi_degenerate      # no internal links
-    balanced = build_temporal_graph(
-        [(("a", 2), ("b", 1)), (("b", 2), ("a", 1))]
-    )
-    full = cover_for(balanced, [balanced.nodes])
-    assert not community_reports(full, balanced)[0].hi_degenerate
+    assert report(no_internal, [[tn("a", 1), tn("b", 1)], [tn("z", 1)]], community=1).hi == 1.0
 
 
 def test_dissimilarity_examples():
@@ -219,23 +210,82 @@ def test_node_reports_examples():
     assert flip.ct == pytest.approx(1.0)
 
 
-def test_community_reports_match_single_community_operations():
-    cfg = GeneratorConfig(n_c=3, m=4, t_max=8, w=4, d=2, p=0.9, seed=8)
-    links, _ = generate(cfg)
-    tg = build_temporal_graph(links)
-    cover = louvain(ModularityView.from_temporal_graph(tg), seed=8)
+_cells = st.tuples(st.sampled_from("abcd"), st.integers(0, 6))
+
+
+@st.composite
+def graphs_with_covers(draw):
+    """A small temporal graph and a cover of it; ids need not follow node order."""
+    raw = draw(st.lists(st.tuples(_cells, _cells), min_size=1, max_size=25))
+    tg = build_temporal_graph(raw, isolated_nodes=draw(st.lists(_cells, max_size=4)))
+    ids = draw(st.lists(st.integers(0, 4), min_size=len(tg.nodes), max_size=len(tg.nodes)))
+    dense = {cid: i for i, cid in enumerate(sorted(set(ids)))}
+    return tg, Cover({tn: dense[cid] for tn, cid in zip(tg.nodes, ids)}, len(dense))
+
+
+def direct_metrics(group, tg):
+    """(z, NA, SC, HI) of one community, each from its definition."""
+    inside = set(group)
+    links = [link for link in tg.links if link.source in inside and link.target in inside]
+    z = len({member.node for member in group})
+    total = sum(link.weight for link in links)
+    if total == 0:
+        return z, 1 - z / len(group), 0.0, 1.0
+    sc = sum(link.weight for link in links if link.source.node == link.target.node) / total
+    shares = Counter()
+    for link in links:
+        shares[link.source.node] += link.weight / total
+    h = 1 / (z * sum(share * share for share in shares.values()))
+    hi = 1.0 if z == 1 else (h - 1 / z) / (1 - 1 / z)
+    return z, 1 - z / len(group), sc, hi
+
+
+@settings(max_examples=300)
+@given(graphs_with_covers())
+def test_community_reports_match_single_community_operations(case):
+    tg, cover = case
     reports = community_reports(cover, tg)
     groups = cover.communities()
+    assert [r.community for r in reports] == list(range(cover.n_communities))
     assert sum(r.temporal_size for r in reports) == len(tg.nodes)
     for report in reports:
         group = groups[report.community]
-        assert report.z == community_size(group)
-        assert report.na == pytest.approx(node_activity(group), abs=1e-12)
-        assert report.sc == pytest.approx(self_citation(group, tg), abs=1e-12)
-        assert report.hi == pytest.approx(heterogeneity(group, tg), abs=1e-12)
+        z, na, sc, hi = direct_metrics(group, tg)
+        assert (report.z, report.temporal_size) == (z, len(group))
+        assert report.na == na == node_activity(group)
+        assert report.sc == pytest.approx(sc, abs=1e-12)
+        assert report.hi == pytest.approx(hi, abs=1e-12)
         assert 0.0 <= report.na < 1.0
         assert 0.0 <= report.sc <= 1.0
         assert 0.0 <= report.hi <= 1.0 + 1e-12
+
+
+def relabelled(cover, data):
+    """``cover`` with its community ids permuted; returns (cover, permutation)."""
+    perm = data.draw(st.permutations(range(cover.n_communities)))
+    assignment = {node: perm[cid] for node, cid in cover.assignment.items()}
+    return Cover(assignment=assignment, n_communities=cover.n_communities), perm
+
+
+@settings(max_examples=200)
+@given(graphs_with_covers(), st.data())
+def test_community_reports_follow_relabelled_ids(case, data):
+    tg, cover = case
+    other, perm = relabelled(cover, data)
+    reports, permuted = community_reports(cover, tg), community_reports(other, tg)
+    assert len(permuted) == len(reports)
+    for report in reports:
+        assert permuted[perm[report.community]] == dataclasses.replace(
+            report, community=perm[report.community]
+        )
+
+
+@settings(max_examples=200)
+@given(graphs_with_covers(), st.data())
+def test_node_reports_ignore_relabelled_ids(case, data):
+    tg, cover = case
+    other, _ = relabelled(cover, data)
+    assert node_reports(other, tg) == node_reports(cover, tg)
 
 
 def test_na_zero_iff_no_repeats():

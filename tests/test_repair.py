@@ -297,7 +297,7 @@ random_covers = st.lists(
 )
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(rows=random_covers, min_overlap=st.integers(1, 3))
 def test_repair_properties(rows, min_overlap):
     cover = Cover.from_assignment({TemporalNode(label, t): cid for label, t, cid in rows})

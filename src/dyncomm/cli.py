@@ -245,22 +245,20 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cell_tag(parameter: str, value: float, seed: int) -> str:
-    """The tag in a sweep cell's file names."""
-    return f"{parameter}{value:g}_s{seed}"
+def _cell_files(outdir: Path, tag: str) -> list[Path]:
+    """A sweep cell's links, assignment and cover files."""
+    return [outdir / f"links_{tag}.txt", outdir / f"assignment_{tag}.txt", outdir / f"cover_{tag}.csv"]
 
 
-def _sweep_cell_job(payload: tuple[GeneratorConfig, str, float, int, str]) -> list[str]:
-    base, parameter, value, seed, outdir = payload
+def _sweep_cell_job(payload: tuple[GeneratorConfig, str, float, int, list[Path]]) -> list[str]:
+    base, parameter, value, seed, (links_path, assignment_path, cover_path) = payload
     config = cell_config(base, parameter, value, seed)
     links, assignment = generate(config)
-    tag = _cell_tag(parameter, value, seed)
-    out = Path(outdir)
-    write_links(links, out / f"links_{tag}.txt")
-    write_assignment(assignment, out / f"assignment_{tag}.txt")
+    write_links(links, links_path)
+    write_assignment(assignment, assignment_path)
     tg = build_temporal_graph(links)
     cover = louvain(ModularityView.from_temporal_graph(tg), seed=config.seed)
-    write_cover(cover, out / f"cover_{tag}.csv")
+    write_cover(cover, cover_path)
     d = dissimilarity(cover.assignment, _planted_over_nodes(tg, assignment))
     reports = community_reports(cover, tg)
     k = len(reports)
@@ -291,7 +289,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # Two cells with one tag would overwrite each other's files.
     first_cell: dict[str, tuple[float, int]] = {}
     for value, seed in cells:
-        tag = _cell_tag(args.param, value, seed)
+        tag = f"{args.param}{value:g}_s{seed}"
         if tag in first_cell:
             raise ConfigError(
                 f"cells (value {first_cell[tag][0]!r}, seed {first_cell[tag][1]}) and "
@@ -301,9 +299,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # Validate every cell before anything is written, so a bad one fails fast.
     for value, seed in cells:
         cell_config(base, args.param, value, seed)
-    (summary,) = _outputs([args.config], Path(args.outdir) / "summary.csv")
-    outdir = summary.parent
-    jobs = [(base, args.param, value, seed, str(outdir)) for value, seed in cells]
+    outdir = Path(args.outdir)
+    files = {tag: _cell_files(outdir, tag) for tag in first_cell}
+    cell_paths = [path for paths in files.values() for path in paths]
+    *_, summary = _outputs([args.config], *cell_paths, outdir / "summary.csv")
+    jobs = [(base, args.param, value, seed, files[tag]) for tag, (value, seed) in first_cell.items()]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_cell_job, jobs))

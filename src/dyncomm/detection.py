@@ -153,12 +153,7 @@ def _fold(
 def _fold_by(
     adj: Sequence[Iterable[tuple[int, float]]], self_w: Sequence[float], comm: list[int]
 ) -> tuple[list[list[tuple[int, float]]], list[float], list[float]]:
-    """`_fold` of a level's self-loops and pairs, each end relabelled by ``comm``.
-
-    Pairs keep first-appearance order: `_one_level` visits candidate
-    communities sorted, and integer weights sum exactly in any order, so
-    Louvain's moves do not depend on the order of an ``adj`` row.
-    """
+    """`_fold` of a level's self-loops and pairs, each end relabelled by ``comm``."""
 
     def triples() -> Iterator[tuple[int, int, float]]:
         for i, neighbors in enumerate(adj):
@@ -177,47 +172,53 @@ def _one_level(
     two_m: float,
     rng: random.Random,
 ) -> tuple[list[int], bool]:
-    """Local-move phase: greedy node relocation until no move improves Q."""
+    """Local-move phase: greedy node relocation until no move improves Q.
+
+    Nodes come off a FIFO queue that starts as a seeded shuffle.  A node that
+    moves queues its unqueued neighbours outside its new community, in index
+    order: the rows of ``adj`` are sorted in place.
+    """
     n = len(adj)
+    for row in adj:
+        row.sort()
     comm = list(range(n))
     tot = list(degree)
+    queue = deque(rng.sample(range(n), n))
+    queued = [True] * n
     moved_any = False
-    while True:
-        moves = 0
-        order = list(range(n))
-        rng.shuffle(order)
-        for i in order:
-            ci = comm[i]
-            w_to: dict[int, float] = {}
-            for j, w in adj[i]:
-                cj = comm[j]
-                w_to[cj] = w_to.get(cj, 0.0) + w
-            tot[ci] -= degree[i]
-            ki = degree[i]
-            # Gains relative to i sitting alone; candidates are the
-            # neighboring communities plus the one it came from.  Ties go
-            # to the smallest community id, and staying put wins ties.
-            best_c = ci
-            best_gain = w_to.get(ci, 0.0) - tot[ci] * ki / two_m
-            for c in sorted(w_to):
-                if c == ci:
-                    continue
-                gain = w_to[c] - tot[c] * ki / two_m
-                if gain > best_gain + _EPS:
-                    best_c = c
-                    best_gain = gain
-            if best_gain < -_EPS:
-                # Every candidate hurts: detach into a fresh community
-                # (gain 0), which strictly improves Q over staying.
-                best_c = len(tot)
-                tot.append(0.0)
-            comm[i] = best_c
-            tot[best_c] += degree[i]
-            if best_c != ci:
-                moves += 1
-        if moves == 0:
-            break
-        moved_any = True
+    while queue:
+        i = queue.popleft()
+        queued[i] = False
+        ci = comm[i]
+        w_to: dict[int, float] = {}
+        for j, w in adj[i]:
+            cj = comm[j]
+            w_to[cj] = w_to.get(cj, 0.0) + w
+        tot[ci] -= degree[i]
+        ki = degree[i]
+        # Gains relative to i sitting alone; candidates are the
+        # neighboring communities plus the one it came from.  Ties go
+        # to the smallest community id, and staying put wins ties.
+        best_c = ci
+        best_gain = w_to.get(ci, 0.0) - tot[ci] * ki / two_m
+        for c in sorted(w_to):
+            gain = w_to[c] - tot[c] * ki / two_m
+            if gain > best_gain + _EPS:
+                best_c = c
+                best_gain = gain
+        if best_gain < -_EPS:
+            # Every candidate hurts: detach into a fresh community
+            # (gain 0), which strictly improves Q over staying.
+            best_c = len(tot)
+            tot.append(0.0)
+        comm[i] = best_c
+        tot[best_c] += degree[i]
+        if best_c != ci:
+            moved_any = True
+            for j, _ in adj[i]:
+                if not queued[j] and comm[j] != best_c:
+                    queued[j] = True
+                    queue.append(j)
     return comm, moved_any
 
 
@@ -229,14 +230,15 @@ def _densify(comm: list[int]) -> list[int]:
 def louvain(view: ModularityView, seed: int = 0) -> Cover:
     """Two-phase greedy modularity optimization.
 
-    Node visiting order is a seeded shuffle per pass, so the result is a
-    deterministic function of (view, seed).  Never returns a cover worse
-    than all-singletons (the starting point).
+    Each level visits nodes from a work queue seeded with a shuffled order
+    (see `_one_level`), so the result is a deterministic function of
+    (view, seed).  Never returns a cover worse than all-singletons (the
+    starting point).
     """
     if view.total_weight <= 0:
         raise UndefinedModularityError("louvain undefined: graph has no edges")
     rng = random.Random(seed)
-    # Level 0 moves run measurably faster on fresh list copies than on the view's tuples.
+    # `_one_level` sorts the rows of its level in place, so level 0 gets list copies.
     adj, self_w, degree = [list(a) for a in view.adj], view.self_weight, list(view.degree)
     two_m = 2.0 * view.total_weight
     assign = list(range(view.n_nodes))

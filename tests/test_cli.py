@@ -531,6 +531,21 @@ def test_output_paths_are_checked_before_writing(tmp_path, monkeypatch, capsys, 
     assert {name: (tmp_path / name).read_bytes() for name in inputs} == inputs
 
 
+@pytest.mark.parametrize("name", ["links_p0.5_s1.txt", "assignment_p0.5_s1.txt", "cover_p0.5_s1.csv"])
+def test_sweep_never_writes_over_its_config(tmp_path, capsys, name):
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    config = write_config(tmp_path).rename(outdir / name)
+    before = config.read_bytes()
+    args = ["sweep", str(config), str(outdir), "--param", "p", "--values", "0.5", "--seeds", "1"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "name the same file" in err
+    assert "Traceback" not in err
+    assert config.read_bytes() == before
+    assert [p.name for p in outdir.iterdir()] == [name]
+
+
 @pytest.mark.parametrize("bad_file", ["links", "cover", "config"])
 def test_undecodable_byte_names_its_line(tmp_path, capsys, bad_file):
     # 1500 lines put the bad byte past the decoder's first 8 KiB chunk.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
 import io
 import random
@@ -122,19 +123,72 @@ def test_louvain_recovers_planted_communities_at_high_density():
     assert dissimilarity(cover.assignment, planted) == 0.0
 
 
-def test_louvain_deterministic_given_seed():
-    view = ModularityView.from_temporal_graph(barbell_graph())
-    assert louvain(view, seed=5).assignment == louvain(view, seed=5).assignment
+_louvain_cells = st.tuples(st.sampled_from("abcdef"), st.integers(0, 3))
+_louvain_graphs = st.tuples(
+    st.lists(st.tuples(_louvain_cells, _louvain_cells), min_size=1, max_size=40),
+    st.lists(_louvain_cells, max_size=4),
+)
+_louvain_seeds = st.integers(0, 2**32 - 1)
 
 
-def test_louvain_never_below_singletons():
-    rng = random.Random(31)
-    for trial in range(15):
-        raw, cells = random_raw_links(rng, rng.randint(3, 9), rng.randint(2, 20))
-        view = view_of(raw, isolated=cells)
-        singletons = cover_over(view, [[tn] for tn in view.nodes])
-        cover = louvain(view, seed=trial)
-        assert modularity(view, cover) >= modularity(view, singletons) - 1e-12
+def disconnected_communities(view, cover):
+    """Ids of the communities whose nodes induce a disconnected subgraph of ``view``."""
+    comm = cover.membership(view.nodes)
+    members = {}
+    for i, cid in enumerate(comm):
+        members.setdefault(cid, []).append(i)
+    broken = []
+    for cid, nodes in members.items():
+        seen = {nodes[0]}
+        stack = [nodes[0]]
+        while stack:
+            for j, _ in view.adj[stack.pop()]:
+                if comm[j] == cid and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        if len(seen) < len(nodes):
+            broken.append(cid)
+    return broken
+
+
+@settings(max_examples=200)
+@given(_louvain_graphs, _louvain_seeds)
+def test_louvain_deterministic_given_seed(graph, seed):
+    # The same cover, in the same order, on one view twice and on a view
+    # rebuilt from the same links.
+    view = view_of(*graph)
+    cover = list(louvain(view, seed).assignment.items())
+    assert list(louvain(view, seed).assignment.items()) == cover
+    assert list(louvain(view_of(*graph), seed).assignment.items()) == cover
+
+
+@settings(max_examples=200)
+@given(_louvain_graphs, _louvain_seeds)
+def test_louvain_never_below_singletons(graph, seed):
+    # Repeated links add weight, (x, x) links are self-loops and the
+    # declared cells no link touches are isolated nodes.
+    view = view_of(*graph)
+    singletons = cover_over(view, [[tn] for tn in view.nodes])
+    assert modularity(view, louvain(view, seed)) >= modularity(view, singletons) - 1e-12
+
+
+@settings(max_examples=200)
+@given(_louvain_graphs, _louvain_seeds)
+def test_louvain_communities_are_connected_on_random_graphs(graph, seed):
+    view = view_of(*graph)
+    assert disconnected_communities(view, louvain(view, seed)) == []
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_louvain_communities_are_connected_on_planted_graphs(seed):
+    # The planted graphs of the detect_planted benchmark workload, with its Louvain seed.
+    # Louvain does not guarantee connected communities (seed 10 of this config gives
+    # one that is not), so these seeds pin the behaviour rather than prove it.
+    cfg = GeneratorConfig(n_c=20, m=25, t_max=10, w=10, d=3, p=0.85, seed=seed)
+    view = ModularityView.from_temporal_graph(build_temporal_graph(generate(cfg)[0]))
+    cover = louvain(view, seed=42)
+    assert cover.n_communities >= cfg.n_c
+    assert disconnected_communities(view, cover) == []
 
 
 def test_louvain_assigns_isolated_nodes_their_own_community():
@@ -335,17 +389,25 @@ def test_cover_requires_contiguous_ids():
     assert dense.assignment[TemporalNode("a", 1)] == 0
 
 
-def test_cover_csv_round_trip_and_gap_densification():
-    view = ModularityView.from_temporal_graph(two_pairs_graph())
-    cover = louvain(view, seed=0)
-    buffer = io.StringIO()
-    write_cover(cover, buffer)
-    parsed, had_gaps = read_cover(io.StringIO(buffer.getvalue()))
-    assert not had_gaps
-    assert parsed.assignment == cover.assignment
+_tn_labels = st.text(alphabet='ab, "x', min_size=1, max_size=3)
 
-    gappy = "node,timestep,community\na,1,0\nb,1,0\nc,1,5\nd,1,5\n"
-    parsed, had_gaps = read_cover(io.StringIO(gappy))
-    assert had_gaps
-    assert parsed.n_communities == 2
-    assert parsed.assignment[TemporalNode("c", 1)] == 1
+
+@settings(max_examples=200)
+@given(st.dictionaries(st.builds(TemporalNode, _tn_labels, st.integers(0, 50)), st.integers(0, 9)))
+def test_cover_csv_round_trip_and_gap_densification(raw):
+    # Ids from 0..9 in any combination: gaps, or exactly 0..k-1.
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["node", "timestep", "community"])
+    writer.writerows([tn.node, tn.t, cid] for tn, cid in raw.items())
+    parsed, had_gaps = read_cover(io.StringIO(buffer.getvalue()))
+    ids = sorted(set(raw.values()))
+    assert had_gaps == (ids != list(range(len(ids))))
+    assert parsed.n_communities == len(ids)
+    assert list(parsed.assignment) == list(raw)
+    assert [parsed.assignment[node] for node in raw] == [ids.index(cid) for cid in raw.values()]
+    written = io.StringIO()
+    write_cover(parsed, written)
+    again, had_gaps = read_cover(io.StringIO(written.getvalue()))
+    assert not had_gaps
+    assert list(again.assignment.items()) == list(parsed.assignment.items())

@@ -145,13 +145,34 @@ def test_dissimilarity_matches_pair_scan_oracle():
         assert dissimilarity(a, b) == dissimilarity(b, a)
 
 
-def test_dissimilarity_label_invariance():
-    rng = random.Random(78)
-    nodes = [tn(f"n{i}", 0) for i in range(10)]
-    a = {x: rng.randrange(3) for x in nodes}
-    b = {x: rng.randrange(3) for x in nodes}
-    relabeled = {x: 10 + a[x] for x in nodes}
-    assert dissimilarity(a, b) == dissimilarity(relabeled, b)
+@st.composite
+def assignment_pairs(draw):
+    """Two assignments over one node set, ids drawn from a few values."""
+    node = st.builds(tn, st.sampled_from("abcde"), st.integers(0, 3))
+    nodes = draw(st.lists(node, min_size=2, unique=True))
+    ids = st.integers(0, 4)
+    return {x: draw(ids) for x in nodes}, {x: draw(ids) for x in nodes}
+
+
+def relabel(assignment, data):
+    """``assignment`` under a random one-to-one renaming of its ids."""
+    old = sorted(set(assignment.values()))
+    new = data.draw(st.permutations(range(len(old))))
+    names = {cid: f"c{new[i]}" for i, cid in enumerate(old)}
+    return {x: names[cid] for x, cid in assignment.items()}
+
+
+@settings(max_examples=200)
+@given(assignment_pairs(), st.data())
+def test_dissimilarity_label_invariance(pair, data):
+    # Also 0 on identical assignments, and symmetric.
+    a, b = pair
+    d = dissimilarity(a, b)
+    assert dissimilarity(a, dict(a)) == 0.0
+    assert dissimilarity(a, relabel(a, data)) == 0.0
+    assert dissimilarity(b, a) == d
+    assert dissimilarity(relabel(a, data), b) == d
+    assert dissimilarity(a, relabel(b, data)) == d
 
 
 def test_dissimilarity_argument_errors():

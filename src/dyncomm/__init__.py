@@ -19,26 +19,9 @@ from .detection import (
     read_cover,
     write_cover,
 )
-from .generator import (
-    ConfigError,
-    GeneratorConfig,
-    cell_config,
-    generate,
-    read_assignment,
-    write_assignment,
-)
-from .metrics import (
-    CommunityReport,
-    NodeReport,
-    community_reports,
-    dissimilarity,
-    node_activity,
-    node_reports,
-    write_community_csv,
-    write_node_csv,
-)
 from .repair import MergeStep, repair, write_trace
 from .temporal_graph import (
+    ConfigError,
     LinkParseError,
     LinkValidationError,
     PERMISSIVE,
@@ -97,3 +80,34 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# Loaded on first use (PEP 562), so that a command which needs neither the
+# generator nor the metrics does not import them.  `repair` above stays
+# eager: importing the submodule would rebind ``dyncomm.repair`` to it.
+_LAZY = {
+    "GeneratorConfig": "generator",
+    "cell_config": "generator",
+    "generate": "generator",
+    "read_assignment": "generator",
+    "write_assignment": "generator",
+    "CommunityReport": "metrics",
+    "NodeReport": "metrics",
+    "community_reports": "metrics",
+    "dissimilarity": "metrics",
+    "node_activity": "metrics",
+    "node_reports": "metrics",
+    "write_community_csv": "metrics",
+    "write_node_csv": "metrics",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

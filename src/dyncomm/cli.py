@@ -10,9 +10,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+# Each command imports the generator, metrics and repair modules itself, when
+# it runs, so that a command loads only what it uses.  The package loads the
+# two modules below in any case.
 from .detection import (
     Cover,
     CoverMismatchError,
@@ -22,34 +25,22 @@ from .detection import (
     read_cover,
     write_cover,
 )
-from .generator import (
-    ConfigError,
-    GeneratorConfig,
-    SWEEPABLE_PARAMETERS,
-    cell_config,
-    generate,
-    write_assignment,
-)
-from .metrics import (
-    CommunityReport,
-    community_reports,
-    dissimilarity,
-    node_reports,
-    read_community_csv,
-    write_community_csv,
-    write_node_csv,
-)
-from .repair import repair, write_trace
 from .temporal_graph import (
     PERMISSIVE,
     STRICT_CITATION,
+    SWEEPABLE_PARAMETERS,
+    ConfigError,
     TemporalGraph,
     TemporalNode,
-    build_temporal_graph,
     _write_table,
+    build_temporal_graph,
     parse_link_file,
     write_links,
 )
+
+if TYPE_CHECKING:
+    from .generator import GeneratorConfig
+    from .metrics import CommunityReport
 
 DEFAULT_SEED = 42
 
@@ -178,6 +169,8 @@ def _planted_over_nodes(tg: TemporalGraph, assignment: dict[str, int]) -> dict[T
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from .generator import GeneratorConfig, generate, write_assignment
+
     config = GeneratorConfig.from_json_file(args.config)
     out_links, assignment_path = _outputs(
         [args.config], args.out, args.assignment or f"{Path(args.out)}.assignment"
@@ -221,6 +214,8 @@ def _read_cover_checked(path: str, tg: TemporalGraph) -> Cover:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
+    from .metrics import community_reports, node_reports, write_community_csv, write_node_csv
+
     _outputs([args.links, args.cover], *filter(None, (args.community_out, args.node_out)))
     tg = _load_graph(args.links, args.permissive, args.coarsen)
     cover = _read_cover_checked(args.cover, tg)
@@ -238,6 +233,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    from .metrics import read_community_csv
+
     (out,) = _outputs([args.communities], args.out)
     reports = read_community_csv(args.communities)
     out.write_text(render_profile_svg(reports), encoding="utf-8")
@@ -251,6 +248,9 @@ def _cell_files(outdir: Path, tag: str) -> list[Path]:
 
 
 def _sweep_cell_job(payload: tuple[GeneratorConfig, str, float, int, list[Path]]) -> list[str]:
+    from .generator import cell_config, generate, write_assignment
+    from .metrics import community_reports, dissimilarity
+
     base, parameter, value, seed, (links_path, assignment_path, cover_path) = payload
     config = cell_config(base, parameter, value, seed)
     links, assignment = generate(config)
@@ -275,6 +275,8 @@ def _sweep_cell_job(payload: tuple[GeneratorConfig, str, float, int, list[Path]]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .generator import GeneratorConfig, cell_config
+
     base = GeneratorConfig.from_json_file(args.config)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
@@ -304,8 +306,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cell_paths = [path for paths in files.values() for path in paths]
     *_, summary = _outputs([args.config], *cell_paths, outdir / "summary.csv")
     jobs = [(base, args.param, value, seed, files[tag]) for tag, (value, seed) in first_cell.items()]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The pool starts all its workers at once, so it never asks for more than there are cells.
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell_job, jobs))
     else:
         rows = [_sweep_cell_job(job) for job in jobs]
@@ -315,6 +321,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_repair(args: argparse.Namespace) -> int:
+    from .repair import repair, write_trace
+
     out, trace_path = _outputs(
         [args.links, args.cover], args.out, args.trace or f"{Path(args.out)}.trace.csv"
     )

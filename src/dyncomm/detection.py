@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .temporal_graph import TemporalGraph, TemporalNode, _read_table, _write_table
 
@@ -36,17 +35,24 @@ class CoverMismatchError(ValueError):
     """Cover is not total over the graph's temporal nodes."""
 
 
-@dataclass(frozen=True)
-class Cover:
-    """Total assignment of temporal nodes to community ids 0..k-1."""
-
+class _CoverFields(NamedTuple):
     assignment: Mapping[TemporalNode, int]
     n_communities: int
 
-    def __post_init__(self) -> None:
-        ids = set(self.assignment.values())
-        if ids != set(range(self.n_communities)):
+
+class Cover(_CoverFields):
+    """Total assignment of temporal nodes to community ids 0..k-1."""
+
+    __slots__ = ()
+
+    def __new__(cls, assignment: Mapping[TemporalNode, int], n_communities: int) -> "Cover":
+        if set(assignment.values()) != set(range(n_communities)):
             raise ValueError("community ids must be contiguous from 0")
+        return super().__new__(cls, assignment, n_communities)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Cover":
+        return cls(*iterable)  # `_replace` validates too
 
     @classmethod
     def from_assignment(cls, assignment: Mapping[TemporalNode, int]) -> "Cover":
@@ -71,8 +77,7 @@ class Cover:
         return groups
 
 
-@dataclass(frozen=True)
-class ModularityView:
+class ModularityView(NamedTuple):
     """Undirected weighted view of a temporal graph.
 
     ``adj[i]`` lists (neighbor, symmetrized weight) once per unordered
@@ -81,9 +86,9 @@ class ModularityView:
     """
 
     nodes: tuple[TemporalNode, ...]
-    adj: tuple[tuple[tuple[int, float], ...], ...] = field(repr=False)
-    self_weight: tuple[float, ...] = field(repr=False)
-    degree: tuple[float, ...] = field(repr=False)
+    adj: tuple[tuple[tuple[int, float], ...], ...]
+    self_weight: tuple[float, ...]
+    degree: tuple[float, ...]
     total_weight: float = 0.0
 
     @classmethod
@@ -103,6 +108,9 @@ class ModularityView:
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
+
+    def __repr__(self) -> str:
+        return f"ModularityView(nodes={self.nodes!r}, total_weight={self.total_weight!r})"
 
 
 def modularity(view: ModularityView, cover: Cover) -> float:

@@ -8,35 +8,18 @@ time window.  Output is deterministic for a given seed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, NamedTuple
 
-from .temporal_graph import RawLink, _opened
+from .temporal_graph import SWEEPABLE_PARAMETERS, ConfigError, RawLink, _opened
 
 PlantedAssignment = dict[str, int]
 
-SWEEPABLE_PARAMETERS = ("p", "d")
 
-
-class ConfigError(ValueError):
-    """Invalid generator configuration."""
-
-
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Benchmark parameters.
-
-    n_c a-priori communities of m members each (n = m * n_c physical
-    nodes), t_max timesteps, sliding window of w timesteps, average
-    out-degree d per temporal node per timestep (d * n links emitted per
-    timestep), intra-community citation probability p.
-    """
-
+class _GeneratorConfigFields(NamedTuple):
     n_c: int
     m: int
     t_max: int
@@ -45,7 +28,22 @@ class GeneratorConfig:
     p: float
     seed: int
 
-    def __post_init__(self) -> None:
+
+class GeneratorConfig(_GeneratorConfigFields):
+    """Benchmark parameters.
+
+    n_c a-priori communities of m members each (n = m * n_c physical
+    nodes), t_max timesteps, sliding window of w timesteps, average
+    out-degree d per temporal node per timestep (d * n links emitted per
+    timestep), intra-community citation probability p.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, n_c: int, m: int, t_max: int, w: int, d: float, p: float, seed: int
+    ) -> "GeneratorConfig":
+        self = super().__new__(cls, n_c, m, t_max, w, d, p, seed)
         if self.n_c < 1 or self.m < 1:
             raise ConfigError("n_c and m must be positive")
         if self.t_max < 1:
@@ -70,6 +68,11 @@ class GeneratorConfig:
             raise ConfigError("p > 0 requires communities of at least 2 members")
         if self.p < 1 and self.n_c < 2:
             raise ConfigError("p < 1 requires at least 2 communities")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "GeneratorConfig":
+        return cls(*iterable)  # `_replace` validates too
 
     @property
     def n(self) -> int:
@@ -167,6 +170,8 @@ def generate(config: GeneratorConfig) -> tuple[list[RawLink], PlantedAssignment]
 
 def cell_seed(seed: int, parameter: str, value: float) -> int:
     """Stable 64-bit seed for one sweep cell, independent of run order."""
+    import hashlib  # only sweeps need it; it is slow to import
+
     digest = hashlib.sha256(
         f"{parameter}={float(value)!r};seed={seed}".encode()
     ).digest()
@@ -184,7 +189,7 @@ def cell_config(
     """
     if parameter not in SWEEPABLE_PARAMETERS:
         raise ConfigError(f"sweep parameter must be one of {SWEEPABLE_PARAMETERS}")
-    return replace(base, **{parameter: value, "seed": cell_seed(seed, parameter, value)})
+    return base._replace(**{parameter: value, "seed": cell_seed(seed, parameter, value)})
 
 
 def write_assignment(assignment: PlantedAssignment, out: IO[str] | str | Path) -> None:

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Hashable, Iterable, Mapping
+from typing import IO, Hashable, Iterable, Mapping, NamedTuple
 
 from .detection import Cover
 from .temporal_graph import TemporalGraph, TemporalNode, _read_table, _write_table
@@ -21,8 +20,7 @@ COMMUNITY_HEADER = ["community", "z", "temporal_size", "NA", "SC", "HI", "intern
 NODE_HEADER = ["node", "lifetime", "membership", "CM", "CT"]
 
 
-@dataclass(frozen=True)
-class CommunityReport:
+class CommunityReport(NamedTuple):
     community: int
     z: int
     temporal_size: int
@@ -32,8 +30,7 @@ class CommunityReport:
     internal_links: int
 
 
-@dataclass(frozen=True)
-class NodeReport:
+class NodeReport(NamedTuple):
     node: str
     lifetime: int
     membership: int

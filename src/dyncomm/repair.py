@@ -7,11 +7,10 @@ fragments into physically-cohesive clusters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections import Counter
 from heapq import heappop, heappush
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .detection import Cover
 from .temporal_graph import TemporalGraph, _write_table
@@ -19,8 +18,7 @@ from .temporal_graph import TemporalGraph, _write_table
 TRACE_HEADER = ["step", "community_a", "community_b", "merged_NA", "gain"]
 
 
-@dataclass(frozen=True)
-class MergeStep:
+class MergeStep(NamedTuple):
     step: int
     community_a: int
     community_b: int

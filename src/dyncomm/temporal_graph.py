@@ -11,7 +11,6 @@ import csv
 import io
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -20,6 +19,14 @@ RawLink = tuple[tuple[str, int], tuple[str, int]]
 
 STRICT_CITATION = "strict_citation"
 PERMISSIVE = "permissive"
+
+# The generator's error and sweep parameters live here, so that the CLI can
+# catch the one and offer the other without importing the generator.
+SWEEPABLE_PARAMETERS = ("p", "d")
+
+
+class ConfigError(ValueError):
+    """Invalid generator configuration."""
 
 
 class LinkParseError(ValueError):
@@ -41,21 +48,29 @@ class TemporalLink(NamedTuple):
     weight: int
 
 
-@dataclass(frozen=True)
-class TemporalGraph:
+class _TemporalGraphFields(NamedTuple):
+    nodes: tuple[TemporalNode, ...]
+    links: tuple[TemporalLink, ...]
+    total_weight: int = 0
+
+
+class TemporalGraph(_TemporalGraphFields):
     """Directed weighted graph over (node, timestep) vertices.
 
     Link weights are raw-link multiplicities, so ``total_weight`` equals the
     number of raw input links.  Immutable after construction.
     """
 
-    nodes: tuple[TemporalNode, ...]
-    links: tuple[TemporalLink, ...]
-    total_weight: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.total_weight != sum(link.weight for link in self.links):
+    def __new__(cls, nodes: tuple, links: tuple, total_weight: int = 0) -> "TemporalGraph":
+        if total_weight != sum(link.weight for link in links):
             raise ValueError("total_weight does not match the sum of link weights")
+        return super().__new__(cls, nodes, links, total_weight)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "TemporalGraph":
+        return cls(*iterable)  # `_replace` validates too
 
 
 def parse_links(lines: Iterable[str], mode: str = STRICT_CITATION) -> list[RawLink]:

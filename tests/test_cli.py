@@ -568,3 +568,175 @@ def test_undecodable_byte_names_its_line(tmp_path, capsys, bad_file):
     err = capsys.readouterr().err
     assert err == f"error: line {line}: not UTF-8 text\n"
     assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out").exists()
+
+
+def test_sweep_pool_never_outnumbers_its_cells(tmp_path, monkeypatch):
+    # A stand-in pool: it records its size and runs the cells in this process,
+    # so no --jobs value here starts a real worker.
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    config = write_config(tmp_path)
+    cells = ["--param", "p", "--values", "0.85,1.0", "--seeds", "0"]
+    runs = {"serial": [], "jobs5000": ["--jobs", "5000"], "jobs2": ["--jobs", "2"]}
+    for name, jobs in runs.items():
+        assert main(["sweep", str(config), str(tmp_path / name)] + cells + jobs) == 0
+    assert sizes == [2, 2]
+    for name in ("jobs5000", "jobs2"):
+        files = sorted(p.name for p in (tmp_path / name).iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "serial").iterdir())
+        for file in files:
+            assert (tmp_path / name / file).read_bytes() == (tmp_path / "serial" / file).read_bytes()
+    one_cell = ["--param", "p", "--values", "1.0", "--seeds", "0", "--jobs", "5000"]
+    assert main(["sweep", str(config), str(tmp_path / "one")] + one_cell) == 0
+    assert sizes == [2, 2]  # one cell runs without a pool
+
+
+# Every error `main` can reach, at least one case per raise site: exit code,
+# message prefix and no traceback.  argparse reports its own errors (exit 1,
+# after a usage line).  Raise sites that no command input can reach are left
+# out: `_planted_over_nodes` (a generated assignment covers every node),
+# `write_links` (generated labels read back), `read_assignment` (no command
+# reads one), `parse_links`' mode check (the CLI passes a valid mode),
+# `cell_config`'s parameter check (argparse's --param choices come first),
+# `Cover.membership` and `community_reports`' empty community (the cover is
+# checked against the graph first), `dissimilarity`'s size checks (a
+# generated graph has at least two temporal nodes), `repair`'s and
+# `coarsen_time`'s factor checks (argparse takes positive integers only) and
+# the TemporalGraph and Cover constructors' checks (always built consistent).
+LINKS = "a 2 b 1\n"
+COVER = "node,timestep,community\na,2,0\nb,1,0\n"
+COMMUNITIES = "community,z,temporal_size,NA,SC,HI,internal_links\n"
+USAGE, CONFIG, DATA = "usage: ", "config error: ", "error: "
+SWEEP = ["sweep", "config.json", "out", "--param", "p"]
+
+
+def cfg(**overrides):
+    """A ``bad.json`` that overrides keys of the valid base config."""
+    return {"bad.json": json.dumps({**BASE_CONFIG, **overrides})}
+
+
+@pytest.mark.parametrize(
+    "argv, files, code, prefix, message",
+    [
+        # argparse
+        (["detect"], {}, 1, USAGE, "the following arguments are required: links, out"),
+        (["frobnicate"], {}, 1, USAGE, "invalid choice: 'frobnicate'"),
+        (["detect", "links.txt", "c.csv", "--coarsen", "0"], {}, 1, USAGE,
+         "argument --coarsen: must be a positive integer"),
+        (["detect", "links.txt", "c.csv", "--seed", "x"], {}, 1, USAGE, "invalid int value: 'x'"),
+        (SWEEP[:4] + ["w", "--values", "1", "--seeds", "1"], {}, 1, USAGE, "invalid choice: 'w'"),
+        (SWEEP + ["--values", "1", "--seeds", "1", "--jobs", "0"], {}, 1, USAGE,
+         "argument --jobs: must be a positive integer"),
+        # `_outputs`
+        (["detect", "links.txt", "links.txt"], {}, 1, "usage error: ", "name the same file"),
+        (["repair", "links.txt", "cover.csv", "r.csv", "--trace", "r.csv"], {}, 1, "usage error: ",
+         "output r.csv and output r.csv name the same file"),
+        # generator config, through generate and sweep
+        (["generate", "bad.json", "x.txt"], {"bad.json": "{"}, 1, CONFIG, "invalid config JSON"),
+        (["generate", "bad.json", "x.txt"], {"bad.json": "[1]"}, 1, CONFIG, "must be an object"),
+        (["generate", "bad.json", "x.txt"], {"bad.json": '{"n_c": 2}'}, 1, CONFIG, "missing config keys"),
+        (["generate", "bad.json", "x.txt"], cfg(colour=1), 1, CONFIG, "unknown config keys: ['colour']"),
+        (["generate", "bad.json", "x.txt"], cfg(seed=True), 1, CONFIG, "seed must be a number"),
+        (["generate", "bad.json", "x.txt"], cfg(m=2.5), 1, CONFIG, "m must be an integer, got 2.5"),
+        (["generate", "bad.json", "x.txt"], cfg(n_c="two"), 1, CONFIG, "non-numeric config value"),
+        (["generate", "bad.json", "x.txt"], cfg(seed=None), 1, CONFIG, "non-numeric config value"),
+        (["generate", "bad.json", "x.txt"], cfg(n_c=0), 1, CONFIG, "n_c and m must be positive"),
+        (["generate", "bad.json", "x.txt"], cfg(t_max=0), 1, CONFIG, "t_max must be positive"),
+        (["generate", "bad.json", "x.txt"], cfg(w=0), 1, CONFIG, "window w must be positive"),
+        (["generate", "bad.json", "x.txt"], cfg(p=-0.1), 1, CONFIG, "p must lie in [0, 1], got -0.1"),
+        (["generate", "bad.json", "x.txt"], cfg(d=-1), 1, CONFIG, "d must be positive"),
+        (["generate", "bad.json", "x.txt"], cfg(d=float("inf")), 1, CONFIG, "d must be finite, got inf"),
+        (["generate", "bad.json", "x.txt"], cfg(d=0.01), 1, CONFIG, "d*n must be a positive integer"),
+        (["generate", "bad.json", "x.txt"], cfg(m=1, p=0.5, d=1), 1, CONFIG,
+         "p > 0 requires communities of at least 2 members"),
+        (["generate", "bad.json", "x.txt"], cfg(n_c=1, p=0.5), 1, CONFIG,
+         "p < 1 requires at least 2 communities"),
+        (SWEEP + ["--values", "0.5,x", "--seeds", "1"], {}, 1, CONFIG, "--values takes floats"),
+        (SWEEP + ["--values", "0.5", "--seeds", "1.5"], {}, 1, CONFIG, "--seeds integers"),
+        (SWEEP + ["--values", ",", "--seeds", "1"], {}, 1, CONFIG, "--values must list at least one"),
+        (SWEEP + ["--values", "0.5", "--seeds", ""], {}, 1, CONFIG, "--seeds must list at least one"),
+        (SWEEP + ["--values", "0.5,0.50", "--seeds", "1"], {}, 1, CONFIG, "would both write files"),
+        (SWEEP + ["--values", "0.5,-0.5", "--seeds", "1"], {}, 1, CONFIG, "p must lie in [0, 1]"),
+        (["sweep", "bad.json", "out", "--param", "d", "--values", "2", "--seeds", "1"], cfg(w=0), 1,
+         CONFIG, "window w must be positive"),
+        # files that cannot be read or written
+        (["detect", "nope.txt", "c.csv"], {}, 2, DATA, "No such file or directory"),
+        (["detect", "links.txt", "links.txt/c.csv"], {}, 2, DATA, "File exists"),
+        (["detect", "bad.txt", "c.csv"], {"bad.txt": b"a 2 \xff 1\n"}, 2, DATA, "line 1: not UTF-8 text"),
+        # link files, through every command that reads one
+        (["detect", "bad.txt", "c.csv"], {"bad.txt": "a 2 b 1\na 2 b\n"}, 2, DATA,
+         "line 2: expected 4 whitespace-separated fields, got 3"),
+        (["metrics", "bad.txt", "cover.csv"], {"bad.txt": "a 2 b x\n"}, 2, DATA,
+         "line 1: times must be integers"),
+        (["repair", "bad.txt", "cover.csv", "r.csv"], {"bad.txt": "a 2 b -1\n"}, 2, DATA,
+         "line 1: times must be non-negative"),
+        (["detect", "bad.txt", "c.csv"], {"bad.txt": "a 1 b 2\n"}, 2, DATA,
+         "line 1: target newer than source"),
+        # detection
+        (["detect", "bad.txt", "c.csv"], {"bad.txt": "# no links\n"}, 2, DATA,
+         "louvain undefined: graph has no edges"),
+        (["detect", "bad.txt", "c.csv", "--algo", "gn"], {"bad.txt": ""}, 2, DATA,
+         "girvan-newman undefined: graph has no edges"),
+        (["detect", "big.txt", "c.csv", "--algo", "gn"],
+         {"big.txt": "".join(f"n{i} 1 n{i + 1} 1\n" for i in range(500))}, 2, DATA,
+         "501 nodes exceeds the Girvan-Newman limit of 500"),
+        # cover CSVs, through metrics and repair
+        (["metrics", "links.txt", "bad.csv"], {"bad.csv": "node,t,community\n"}, 2, DATA,
+         "line 1: expected cover header"),
+        (["repair", "links.txt", "bad.csv", "r.csv"], {"bad.csv": COVER + "c,1\n"}, 2, DATA,
+         "line 4: expected 3 fields, got 2"),
+        (["metrics", "links.txt", "bad.csv"], {"bad.csv": COVER + "c,x,0\n"}, 2, DATA,
+         "line 4: invalid literal for int()"),
+        (["repair", "links.txt", "bad.csv", "r.csv"], {"bad.csv": COVER + "a,2,1\n"}, 2, DATA,
+         "line 4: duplicate cover row"),
+        (["metrics", "links.txt", "bad.csv"], {"bad.csv": COVER[:-6]}, 2, DATA,
+         "cover and link data disagree on temporal node (b,1)"),
+        (["repair", "links.txt", "bad.csv", "r.csv"], {"bad.csv": COVER + "c,1,0\n"}, 2, DATA,
+         "cover and link data disagree on temporal node (c,1)"),
+        # community CSVs, through profile
+        (["profile", "bad.csv", "p.svg"], {"bad.csv": "community,z\n"}, 2, DATA,
+         "line 1: expected community header"),
+        (["profile", "bad.csv", "p.svg"], {"bad.csv": COMMUNITIES + "0,1,1,0,0,1\n"}, 2, DATA,
+         "line 2: expected 7 fields, got 6"),
+        (["profile", "bad.csv", "p.svg"], {"bad.csv": COMMUNITIES + "0,1,1,x,0,1,0\n"}, 2, DATA,
+         "line 2: could not convert string to float"),
+        (["profile", "bad.csv", "p.svg"], {"bad.csv": COMMUNITIES + "0,1,1,0,nan,1,0\n"}, 2, DATA,
+         "line 2: SC must be finite, got nan"),
+        (["profile", "missing.csv", "p.svg"], {}, 2, DATA, "No such file or directory"),
+    ],
+)
+def test_every_reachable_error_exits_cleanly(tmp_path, monkeypatch, capsys, argv, files, code, prefix, message):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path)
+    (tmp_path / "links.txt").write_text(LINKS)
+    (tmp_path / "cover.csv").write_text(COVER)
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content)
+    try:
+        exit_code = main(argv)
+    except SystemExit as exc:
+        exit_code = exc.code
+    err = capsys.readouterr().err
+    assert exit_code == code
+    assert err.startswith(prefix)
+    assert message in err
+    assert "Traceback" not in err

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import random
 from collections import deque
@@ -377,7 +376,7 @@ def test_louvain_ignores_adjacency_order(monkeypatch, seed):
     view = ModularityView.from_temporal_graph(build_temporal_graph(generate(cfg)[0]))
     cover = louvain(view, seed=seed)
     assert len(folds) >= 2  # two levels aggregated, each from the level before
-    reversed_view = dataclasses.replace(view, adj=tuple(row[::-1] for row in view.adj))
+    reversed_view = view._replace(adj=tuple(row[::-1] for row in view.adj))
     assert louvain(reversed_view, seed=seed).assignment == cover.assignment
 
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import io
 import random
 from collections import Counter
@@ -296,9 +295,7 @@ def test_community_reports_follow_relabelled_ids(case, data):
     reports, permuted = community_reports(cover, tg), community_reports(other, tg)
     assert len(permuted) == len(reports)
     for report in reports:
-        assert permuted[perm[report.community]] == dataclasses.replace(
-            report, community=perm[report.community]
-        )
+        assert permuted[perm[report.community]] == report._replace(community=perm[report.community])
 
 
 @settings(max_examples=200)

@@ -1,0 +1,137 @@
+"""The package surface: what each command loads, the public names, the records.
+
+The start-up tests run in a fresh interpreter each, because the test process
+has long since imported every module.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dyncomm
+from dyncomm import (
+    CommunityReport,
+    Cover,
+    GeneratorConfig,
+    MergeStep,
+    ModularityView,
+    NodeReport,
+    TemporalNode,
+    build_temporal_graph,
+)
+
+SRC = Path(dyncomm.__file__).resolve().parents[1]
+
+# Loaded neither by `import dyncomm.cli` nor by a command that does not use
+# them: the generator and the metrics serve some commands only, `hashlib`
+# only sweeps, the process pool only `sweep --jobs`, and the records are
+# named tuples, not dataclasses.
+NOT_AT_START = {
+    "concurrent.futures",
+    "dataclasses",
+    "inspect",
+    "hashlib",
+    "dyncomm.generator",
+    "dyncomm.metrics",
+}
+
+
+def fresh_python(code: str, cwd: Path | None = None) -> str:
+    """Run ``code`` in a new interpreter that imports dyncomm from this tree; return its stdout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def modules_after(code: str, cwd: Path | None = None) -> set[str]:
+    out = fresh_python(code + "\nimport sys\nprint('--modules--', *sys.modules, sep='\\n')", cwd)
+    return set(out.split("--modules--\n", 1)[1].split())
+
+
+def test_import_cli_loads_no_module_a_command_may_not_need():
+    loaded = modules_after("import dyncomm.cli")
+    assert "dyncomm.cli" in loaded
+    assert loaded & NOT_AT_START == set()
+
+
+@pytest.mark.parametrize(
+    "argv, uses",
+    [
+        (["detect", "links.txt", "cover.csv"], set()),
+        (["repair", "links.txt", "cover.csv", "repaired.csv"], set()),
+        (["metrics", "links.txt", "cover.csv", "--community-out", "comm.csv"], {"dyncomm.metrics"}),
+        (["profile", "comm.csv", "profile.svg"], {"dyncomm.metrics"}),
+        (["generate", "config.json", "out.txt"], {"dyncomm.generator"}),
+    ],
+    ids=["detect", "repair", "metrics", "profile", "generate"],
+)
+def test_a_command_loads_only_the_modules_it_uses(tmp_path, argv, uses):
+    (tmp_path / "links.txt").write_text("a 2 b 1\nb 3 a 2\nc 3 a 1\n")
+    (tmp_path / "cover.csv").write_text("node,timestep,community\na,2,0\nb,1,0\nb,3,1\nc,3,1\na,1,1\n")
+    (tmp_path / "comm.csv").write_text("community,z,temporal_size,NA,SC,HI,internal_links\n")
+    config = {"n_c": 2, "m": 2, "t_max": 2, "w": 1, "d": 1, "p": 0.5, "seed": 0}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    loaded = modules_after(f"from dyncomm.cli import main\nassert main({argv!r}) == 0", tmp_path)
+    assert loaded & NOT_AT_START == uses
+
+
+def test_public_names_import_from_a_fresh_interpreter():
+    fresh_python(
+        "import dyncomm\n"
+        "for name in dyncomm.__all__:\n"
+        "    exec(f'from dyncomm import {name}')\n"
+        "assert set(dyncomm.__all__) <= set(dir(dyncomm))\n"
+        "import dyncomm.repair\n"
+        "from dyncomm import repair\n"
+        "assert callable(repair) and repair is dyncomm.repair and repair.__name__ == 'repair'\n"
+    )
+
+
+def test_unknown_package_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
+        dyncomm.frobnicate
+
+
+def _records():
+    tn = TemporalNode("a", 1)
+    tg = build_temporal_graph([(("a", 1), ("b", 1))])
+    return {
+        "Cover": Cover({tn: 0}, 1),
+        "TemporalGraph": tg,
+        "GeneratorConfig": GeneratorConfig(n_c=2, m=2, t_max=1, w=1, d=1, p=0.5, seed=0),
+        "ModularityView": ModularityView.from_temporal_graph(tg),
+        "CommunityReport": CommunityReport(0, 1, 1, 0.0, 0.0, 1.0, 0),
+        "NodeReport": NodeReport("a", 1, 1, 1.0, 0.0),
+        "MergeStep": MergeStep(1, 0, 1, 0.5, 0.5),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_records()))
+def test_records_reject_attribute_assignment(name):
+    record = _records()[name]
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_replace_validates_like_the_constructor():
+    records = _records()
+    with pytest.raises(ValueError, match="contiguous"):
+        records["Cover"]._replace(n_communities=2)
+    with pytest.raises(ValueError, match="total_weight"):
+        records["TemporalGraph"]._replace(total_weight=5)
+    with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+        records["GeneratorConfig"]._replace(p=1.5)
+    assert records["GeneratorConfig"]._replace(p=1.0).p == 1.0

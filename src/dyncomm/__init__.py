@@ -6,107 +6,66 @@ communities and per-node behavior.  Includes a planted-community synthetic
 benchmark generator and a CLI pipeline (`dyncomm`).
 """
 
-from .detection import (
-    Cover,
-    CoverMismatchError,
-    GraphSizeError,
-    ModularityView,
-    UndefinedModularityError,
-    brute_force_best,
-    girvan_newman,
-    louvain,
-    modularity,
-    read_cover,
-    write_cover,
-)
-from .repair import MergeStep, repair, write_trace
-from .temporal_graph import (
-    ConfigError,
-    LinkParseError,
-    LinkValidationError,
-    PERMISSIVE,
-    STRICT_CITATION,
-    TemporalGraph,
-    TemporalLink,
-    TemporalNode,
-    build_temporal_graph,
-    coarsen_time,
-    parse_link_file,
-    parse_links,
-    write_links,
-)
-
-__all__ = [
-    "ConfigError",
-    "Cover",
-    "CoverMismatchError",
-    "CommunityReport",
-    "GeneratorConfig",
-    "GraphSizeError",
-    "LinkParseError",
-    "LinkValidationError",
-    "MergeStep",
-    "ModularityView",
-    "NodeReport",
-    "PERMISSIVE",
-    "STRICT_CITATION",
-    "TemporalGraph",
-    "TemporalLink",
-    "TemporalNode",
-    "UndefinedModularityError",
-    "brute_force_best",
-    "build_temporal_graph",
-    "cell_config",
-    "coarsen_time",
-    "community_reports",
-    "dissimilarity",
-    "generate",
-    "girvan_newman",
-    "louvain",
-    "modularity",
-    "node_activity",
-    "node_reports",
-    "parse_link_file",
-    "parse_links",
-    "read_assignment",
-    "read_cover",
-    "repair",
-    "write_assignment",
-    "write_community_csv",
-    "write_cover",
-    "write_links",
-    "write_node_csv",
-    "write_trace",
-]
+# The function `repair` is bound here, not served below: importing the
+# submodule of the same name would rebind ``dyncomm.repair`` to the module.
+from .repair import repair
 
 __version__ = "0.1.0"
 
-# Loaded on first use (PEP 562), so that a command which needs neither the
-# generator nor the metrics does not import them.  `repair` above stays
-# eager: importing the submodule would rebind ``dyncomm.repair`` to it.
-_LAZY = {
-    "GeneratorConfig": "generator",
-    "cell_config": "generator",
-    "generate": "generator",
-    "read_assignment": "generator",
-    "write_assignment": "generator",
+# Each public name and the module that defines it.  Names load on first use
+# (PEP 562), so a command imports only the modules it needs.
+_EXPORTS = {
+    "ConfigError": "temporal_graph",
+    "Cover": "detection",
+    "CoverMismatchError": "detection",
     "CommunityReport": "metrics",
+    "GeneratorConfig": "generator",
+    "GraphSizeError": "detection",
+    "LinkParseError": "temporal_graph",
+    "LinkValidationError": "temporal_graph",
+    "MergeStep": "repair",
+    "ModularityView": "detection",
     "NodeReport": "metrics",
+    "PERMISSIVE": "temporal_graph",
+    "STRICT_CITATION": "temporal_graph",
+    "TemporalGraph": "temporal_graph",
+    "TemporalLink": "temporal_graph",
+    "TemporalNode": "temporal_graph",
+    "UndefinedModularityError": "detection",
+    "brute_force_best": "detection",
+    "build_temporal_graph": "temporal_graph",
+    "cell_config": "generator",
+    "coarsen_time": "temporal_graph",
     "community_reports": "metrics",
     "dissimilarity": "metrics",
+    "generate": "generator",
+    "girvan_newman": "detection",
+    "louvain": "detection",
+    "modularity": "detection",
     "node_activity": "metrics",
     "node_reports": "metrics",
+    "parse_link_file": "temporal_graph",
+    "parse_links": "temporal_graph",
+    "read_assignment": "generator",
+    "read_cover": "detection",
+    "repair": "repair",
+    "write_assignment": "generator",
     "write_community_csv": "metrics",
+    "write_cover": "detection",
+    "write_links": "temporal_graph",
     "write_node_csv": "metrics",
+    "write_trace": "repair",
 }
+
+__all__ = list(_EXPORTS)
 
 
 def __getattr__(name: str):
-    if name not in _LAZY:
+    if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
-    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
 
 
 def __dir__() -> list[str]:

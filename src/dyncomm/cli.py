@@ -340,6 +340,11 @@ def cmd_repair(args: argparse.Namespace) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="dyncomm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # The link-file input of detect, metrics and repair.
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("links", help="input link file")
+    graph.add_argument("--coarsen", type=_positive_int, default=1, metavar="K")
+    graph.add_argument("--permissive", action="store_true", help="allow target times newer than source")
 
     p_gen = sub.add_parser("generate", help="generate a planted-community dataset")
     p_gen.add_argument("config", help="generator config JSON")
@@ -347,22 +352,16 @@ def build_parser() -> _Parser:
     p_gen.add_argument("--assignment", help="planted assignment sidecar (default: <out>.assignment)")
     p_gen.set_defaults(func=cmd_generate)
 
-    p_det = sub.add_parser("detect", help="detect temporal communities")
-    p_det.add_argument("links", help="input link file")
+    p_det = sub.add_parser("detect", parents=[graph], help="detect temporal communities")
     p_det.add_argument("out", help="output cover CSV")
     p_det.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_det.add_argument("--algo", choices=("louvain", "gn"), default="louvain")
-    p_det.add_argument("--coarsen", type=_positive_int, default=1, metavar="K")
-    p_det.add_argument("--permissive", action="store_true", help="allow target times newer than source")
     p_det.set_defaults(func=cmd_detect)
 
-    p_met = sub.add_parser("metrics", help="compute community and node metrics")
-    p_met.add_argument("links", help="input link file")
+    p_met = sub.add_parser("metrics", parents=[graph], help="compute community and node metrics")
     p_met.add_argument("cover", help="cover CSV from detect")
     p_met.add_argument("--community-out", help="community metrics CSV (default: stdout)")
     p_met.add_argument("--node-out", help="node metrics CSV (default: stdout)")
-    p_met.add_argument("--coarsen", type=_positive_int, default=1, metavar="K")
-    p_met.add_argument("--permissive", action="store_true")
     p_met.set_defaults(func=cmd_metrics)
 
     p_pro = sub.add_parser("profile", help="render the NA/SC community profile SVG")
@@ -379,14 +378,11 @@ def build_parser() -> _Parser:
     p_swp.add_argument("--jobs", type=_positive_int, default=1)
     p_swp.set_defaults(func=cmd_sweep)
 
-    p_rep = sub.add_parser("repair", help="merge communities by NA optimization")
-    p_rep.add_argument("links", help="input link file")
+    p_rep = sub.add_parser("repair", parents=[graph], help="merge communities by NA optimization")
     p_rep.add_argument("cover", help="cover CSV to repair")
     p_rep.add_argument("out", help="repaired cover CSV")
     p_rep.add_argument("--trace", help="merge trace CSV (default: <out>.trace.csv)")
     p_rep.add_argument("--min-overlap", type=_positive_int, default=1)
-    p_rep.add_argument("--coarsen", type=_positive_int, default=1, metavar="K")
-    p_rep.add_argument("--permissive", action="store_true")
     p_rep.set_defaults(func=cmd_repair)
 
     return parser

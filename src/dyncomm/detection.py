@@ -57,11 +57,8 @@ class Cover(_CoverFields):
     @classmethod
     def from_assignment(cls, assignment: Mapping[TemporalNode, int]) -> "Cover":
         """Densify arbitrary ids to 0..k-1 by first appearance order."""
-        remap: dict[int, int] = {}
-        dense: dict[TemporalNode, int] = {}
-        for tn, cid in assignment.items():
-            dense[tn] = remap.setdefault(cid, len(remap))
-        return cls(assignment=dense, n_communities=len(remap))
+        dense = _densify(list(assignment.values()))
+        return cls(assignment=dict(zip(assignment, dense)), n_communities=len(set(dense)))
 
     def membership(self, nodes: Iterable[TemporalNode]) -> list[int]:
         """Community id of each node, in order; every node must be covered."""
@@ -241,7 +238,10 @@ def louvain(view: ModularityView, seed: int = 0) -> Cover:
     Each level visits nodes from a work queue seeded with a shuffled order
     (see `_one_level`), so the result is a deterministic function of
     (view, seed).  Never returns a cover worse than all-singletons (the
-    starting point).
+    starting point).  Every community is connected in the view: as in
+    Traag, Waltman & van Eck (2019), a community the levels leave
+    disconnected is split into its connected components, which never
+    lowers Q.  Components are numbered by their smallest node index.
     """
     if view.total_weight <= 0:
         raise UndefinedModularityError("louvain undefined: graph has no edges")
@@ -259,7 +259,12 @@ def louvain(view: ModularityView, seed: int = 0) -> Cover:
         if len(set(dense)) == len(dense):
             break
         adj, self_w, degree = _fold_by(adj, self_w, dense)
-    return _cover(view, assign)
+    inside = [[j for j, _ in row if assign[j] == assign[i]] for i, row in enumerate(view.adj)]
+    split = [0] * view.n_nodes
+    for cid, comp in enumerate(_components(inside, range(view.n_nodes))):
+        for i in comp:
+            split[i] = cid
+    return _cover(view, split)
 
 
 def _cover(view: ModularityView, comm: list[int]) -> Cover:
@@ -267,7 +272,7 @@ def _cover(view: ModularityView, comm: list[int]) -> Cover:
     return Cover.from_assignment(dict(zip(view.nodes, comm)))
 
 
-def _components(adj_sets: dict[int, set[int]], nodes: Iterable[int]) -> list[list[int]]:
+def _components(adj: Sequence[Iterable[int]], nodes: Iterable[int]) -> list[list[int]]:
     seen: set[int] = set()
     comps: list[list[int]] = []
     for start in nodes:
@@ -279,7 +284,7 @@ def _components(adj_sets: dict[int, set[int]], nodes: Iterable[int]) -> list[lis
         while queue:
             u = queue.popleft()
             comp.append(u)
-            for v in adj_sets[u]:
+            for v in adj[u]:
                 if v not in seen:
                     seen.add(v)
                     queue.append(v)
@@ -288,12 +293,12 @@ def _components(adj_sets: dict[int, set[int]], nodes: Iterable[int]) -> list[lis
 
 
 def _edge_betweenness(
-    adj_sets: dict[int, set[int]], nodes: list[int]
+    adj: Sequence[set[int]], nodes: list[int]
 ) -> dict[tuple[int, int], float]:
     """Brandes accumulation over the given nodes, unweighted shortest paths."""
     bw: dict[tuple[int, int], float] = {}
     for u in nodes:
-        for v in adj_sets[u]:
+        for v in adj[u]:
             if u < v:
                 bw[(u, v)] = 0.0
     for s in nodes:
@@ -305,7 +310,7 @@ def _edge_betweenness(
         while queue:
             u = queue.popleft()
             order.append(u)
-            for v in adj_sets[u]:
+            for v in adj[u]:
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     sigma[v] = 0.0
@@ -324,8 +329,8 @@ def _edge_betweenness(
     return bw
 
 
-def _components_cover(view: ModularityView, adj_sets: dict[int, set[int]]) -> Cover:
-    comps = _components(adj_sets, range(view.n_nodes))
+def _components_cover(view: ModularityView, adj: Sequence[set[int]]) -> Cover:
+    comps = _components(adj, range(view.n_nodes))
     assignment: dict[TemporalNode, int] = {}
     for cid, comp in enumerate(comps):
         for i in comp:
@@ -350,16 +355,13 @@ def girvan_newman(
         )
     if view.total_weight <= 0:
         raise UndefinedModularityError("girvan-newman undefined: graph has no edges")
-    adj_sets: dict[int, set[int]] = {i: set() for i in range(view.n_nodes)}
-    for i, neighbors in enumerate(view.adj):
-        for j, _ in neighbors:
-            adj_sets[i].add(j)
-    best_cover = _components_cover(view, adj_sets)
+    adj = [{j for j, _ in row} for row in view.adj]
+    best_cover = _components_cover(view, adj)
     best_q = modularity(view, best_cover)
     bw: dict[tuple[int, int], float] = {}
-    comps = _components(adj_sets, range(view.n_nodes))
+    comps = _components(adj, range(view.n_nodes))
     for comp in comps:
-        bw.update(_edge_betweenness(adj_sets, comp))
+        bw.update(_edge_betweenness(adj, comp))
     while bw:
         target = None
         target_bw = -1.0
@@ -372,18 +374,18 @@ def girvan_newman(
                 target_bw = value
         assert target is not None
         u, v = target
-        adj_sets[u].discard(v)
-        adj_sets[v].discard(u)
+        adj[u].discard(v)
+        adj[v].discard(u)
         # Only the component that contained (u, v) changes.
-        affected = _components(adj_sets, [u, v])
+        affected = _components(adj, [u, v])
         stale = set()
         for comp in affected:
             stale.update(comp)
         for edge in [e for e in bw if e[0] in stale or e[1] in stale]:
             del bw[edge]
         for comp in affected:
-            bw.update(_edge_betweenness(adj_sets, comp))
-        cover = _components_cover(view, adj_sets)
+            bw.update(_edge_betweenness(adj, comp))
+        cover = _components_cover(view, adj)
         q = modularity(view, cover)
         if q > best_q + _EPS:
             best_cover = cover

@@ -18,6 +18,9 @@ from .temporal_graph import SWEEPABLE_PARAMETERS, ConfigError, RawLink, _opened
 
 PlantedAssignment = dict[str, int]
 
+# The config fields that take any real number; the others are integers.
+_REAL_FIELDS = ("d", "p")
+
 
 class _GeneratorConfigFields(NamedTuple):
     n_c: int
@@ -84,34 +87,27 @@ class GeneratorConfig(_GeneratorConfigFields):
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, object]) -> "GeneratorConfig":
-        required = ("n_c", "m", "t_max", "w", "d", "p", "seed")
-        missing = set(required) - set(data)
+        missing = set(cls._fields) - set(data)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
-        unknown = set(data) - set(required)
+        unknown = set(data) - set(cls._fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         # int() and float() would quietly take true as 1 and cut 2.7 to 2.
-        for key in required:
+        for key in cls._fields:
             value = data[key]
             if isinstance(value, bool):
                 raise ConfigError(f"config value {key} must be a number, got {value!r}")
-            if key not in ("d", "p") and isinstance(value, float) and not value.is_integer():
+            if key not in _REAL_FIELDS and isinstance(value, float) and not value.is_integer():
                 raise ConfigError(f"config value {key} must be an integer, got {value!r}")
         try:
-            return cls(
-                n_c=int(data["n_c"]),
-                m=int(data["m"]),
-                t_max=int(data["t_max"]),
-                w=int(data["w"]),
-                d=float(data["d"]),
-                p=float(data["p"]),
-                seed=int(data["seed"]),
-            )
+            values = {
+                key: float(data[key]) if key in _REAL_FIELDS else int(data[key])
+                for key in cls._fields
+            }
         except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
             raise ConfigError(f"non-numeric config value: {exc}") from None
+        return cls(**values)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "GeneratorConfig":

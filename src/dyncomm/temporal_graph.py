@@ -48,29 +48,19 @@ class TemporalLink(NamedTuple):
     weight: int
 
 
-class _TemporalGraphFields(NamedTuple):
-    nodes: tuple[TemporalNode, ...]
-    links: tuple[TemporalLink, ...]
-    total_weight: int = 0
-
-
-class TemporalGraph(_TemporalGraphFields):
+class TemporalGraph(NamedTuple):
     """Directed weighted graph over (node, timestep) vertices.
 
     Link weights are raw-link multiplicities, so ``total_weight`` equals the
     number of raw input links.  Immutable after construction.
     """
 
-    __slots__ = ()
+    nodes: tuple[TemporalNode, ...]
+    links: tuple[TemporalLink, ...]
 
-    def __new__(cls, nodes: tuple, links: tuple, total_weight: int = 0) -> "TemporalGraph":
-        if total_weight != sum(link.weight for link in links):
-            raise ValueError("total_weight does not match the sum of link weights")
-        return super().__new__(cls, nodes, links, total_weight)
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "TemporalGraph":
-        return cls(*iterable)  # `_replace` validates too
+    @property
+    def total_weight(self) -> int:
+        return sum(link.weight for link in self.links)
 
 
 def parse_links(lines: Iterable[str], mode: str = STRICT_CITATION) -> list[RawLink]:
@@ -196,7 +186,6 @@ def write_links(links: Iterable[RawLink], out: IO[str] | str | Path) -> None:
 def _assemble(
     vertices: Iterable[tuple[str, int]],
     weights: Mapping[RawLink, int],
-    total_weight: int,
 ) -> TemporalGraph:
     """The graph over distinct ``vertices`` (in order) with one link per weighted pair.
 
@@ -209,7 +198,7 @@ def _assemble(
     links = tuple(
         [new(TemporalLink, (nodes[src], nodes[dst], w)) for (src, dst), w in weights.items()]
     )
-    return TemporalGraph(nodes=tuple(nodes.values()), links=links, total_weight=total_weight)
+    return TemporalGraph(nodes=tuple(nodes.values()), links=links)
 
 
 def build_temporal_graph(
@@ -228,7 +217,7 @@ def build_temporal_graph(
     vertices = dict.fromkeys(chain.from_iterable(counts))
     for label, t in isolated_nodes:
         vertices.setdefault((label, t), None)
-    return _assemble(vertices, counts, counts.total())
+    return _assemble(vertices, counts)
 
 
 def coarsen_time(tg: TemporalGraph, k: int) -> TemporalGraph:
@@ -248,4 +237,4 @@ def coarsen_time(tg: TemporalGraph, k: int) -> TemporalGraph:
     for src, dst, w in tg.links:
         key = (binned[src], binned[dst])
         weights[key] = weights.get(key, 0) + w
-    return _assemble(dict.fromkeys(binned.values()), weights, tg.total_weight)
+    return _assemble(dict.fromkeys(binned.values()), weights)

@@ -7,12 +7,21 @@ from itertools import combinations
 
 from hypothesis import settings
 
-from dyncomm import TemporalNode, build_temporal_graph
+from dyncomm import Cover, TemporalNode, build_temporal_graph
 
 # Property tests draw the same examples on every run and have no time limit,
 # so the suite's verdict never depends on the run or on the machine's speed.
 settings.register_profile("dyncomm", deadline=None, derandomize=True)
 settings.load_profile("dyncomm")
+
+
+def cover_of(groups):
+    """The cover with ``groups[i]``'s temporal nodes in community i."""
+    assignment = {}
+    for cid, group in enumerate(groups):
+        for node in group:
+            assignment[node] = cid
+    return Cover(assignment=assignment, n_communities=len(groups))
 
 
 def barbell_graph():

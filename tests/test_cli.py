@@ -719,6 +719,11 @@ def cfg(**overrides):
         (["profile", "bad.csv", "p.svg"], {"bad.csv": COMMUNITIES + "0,1,1,0,nan,1,0\n"}, 2, DATA,
          "line 2: SC must be finite, got nan"),
         (["profile", "missing.csv", "p.svg"], {}, 2, DATA, "No such file or directory"),
+        # the link-file flags, which metrics and repair share with detect
+        (["metrics", "links.txt", "cover.csv", "--coarsen", "0"], {}, 1, USAGE,
+         "argument --coarsen: must be a positive integer"),
+        (["repair", "links.txt", "cover.csv", "r.csv", "--coarsen", "0"], {}, 1, USAGE,
+         "argument --coarsen: must be a positive integer"),
     ],
 )
 def test_every_reachable_error_exits_cleanly(tmp_path, monkeypatch, capsys, argv, files, code, prefix, message):

@@ -21,7 +21,7 @@ from dyncomm import (
 )
 from dyncomm.metrics import read_community_csv
 
-from conftest import pair_xor_dissimilarity, random_raw_links
+from conftest import cover_of, pair_xor_dissimilarity, random_raw_links
 
 
 def tn(label: str, t: int) -> TemporalNode:
@@ -31,7 +31,7 @@ def tn(label: str, t: int) -> TemporalNode:
 def report(tg, groups=None, community=0):
     """The community_reports row of ``community`` under a cover of ``groups``
     (default: every node in one community)."""
-    return community_reports(cover_for(tg, groups or [tg.nodes]), tg)[community]
+    return community_reports(cover_of(groups or [tg.nodes]), tg)[community]
 
 
 def test_z_counts_distinct_physical_nodes():
@@ -182,14 +182,6 @@ def test_dissimilarity_argument_errors():
         dissimilarity({tn("a", 1): 0}, {tn("a", 1): 0})
 
 
-def cover_for(tg, groups):
-    assignment = {}
-    for cid, group in enumerate(groups):
-        for node in group:
-            assignment[node] = cid
-    return Cover(assignment=assignment, n_communities=len(groups))
-
-
 def test_node_reports_examples():
     raw = [
         (("solo", 3), ("x", 1)),
@@ -327,7 +319,7 @@ def test_reports_reject_partial_cover():
 
 def test_csv_round_trip():
     tg = build_temporal_graph([(("a", 2), ("a", 1)), (("a", 2), ("b", 1))])
-    cover = cover_for(tg, [tg.nodes])
+    cover = cover_of([tg.nodes])
     reports = community_reports(cover, tg)
     buffer = io.StringIO()
     write_community_csv(reports, buffer)

@@ -24,17 +24,11 @@ from dyncomm import (
     write_trace,
 )
 
+from conftest import cover_of
+
 
 def tn(label: str, t: int) -> TemporalNode:
     return TemporalNode(label, t)
-
-
-def cover_of(groups):
-    assignment = {}
-    for cid, group in enumerate(groups):
-        for node in group:
-            assignment[node] = cid
-    return Cover(assignment=assignment, n_communities=len(groups))
 
 
 def graph_over(nodes):

@@ -8,6 +8,7 @@ constant, never the clock.  Exit codes: 0 success, 1 usage/config error,
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from pathlib import Path
@@ -32,9 +33,10 @@ from .temporal_graph import (
     ConfigError,
     TemporalGraph,
     TemporalNode,
+    _link_stream,
+    _opened,
     _write_table,
     build_temporal_graph,
-    parse_link_file,
     write_links,
 )
 
@@ -92,15 +94,16 @@ def _outputs(inputs: list[str], *paths: str | Path) -> list[Path]:
 
 
 def _load_graph(path: str, permissive: bool, coarsen: int) -> TemporalGraph:
-    """Parse and validate the fine links, then build the graph at ``coarsen``.
+    """Build the graph at ``coarsen`` from the link file, streamed line by line.
 
-    Raw times are binned before the build, so the fine graph is never made;
-    the result equals `coarsen_time` of the fine graph.
+    Each line is validated at its fine times and binned as it is read, so
+    neither the raw-link list nor the fine graph is ever made; the result
+    equals `coarsen_time` of the fine graph.  The build runs inside the
+    ``with`` so that a byte that is not UTF-8 still names its line.
     """
-    raw = parse_link_file(path, mode=PERMISSIVE if permissive else STRICT_CITATION)
-    if coarsen > 1:
-        raw = (((src, ts // coarsen), (dst, td // coarsen)) for (src, ts), (dst, td) in raw)
-    return build_temporal_graph(raw)
+    mode = PERMISSIVE if permissive else STRICT_CITATION
+    with _opened(path) as handle:
+        return build_temporal_graph(_link_stream(handle, mode, coarsen))
 
 
 def render_profile_svg(reports: list[CommunityReport]) -> str:
@@ -391,6 +394,11 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The pipeline's records form no reference cycles, so a cyclic collection
+    # frees nothing while it walks every live tuple; sweep workers fork from
+    # here and inherit the pause.  The caller's setting comes back in `finally`.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -402,6 +410,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

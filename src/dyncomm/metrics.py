@@ -165,9 +165,12 @@ def write_node_csv(reports: Iterable[NodeReport], out: IO[str] | str | Path) -> 
 def read_community_csv(source: IO[str] | str | Path) -> list[CommunityReport]:
     """Read a community metrics CSV; errors name the offending line.
 
-    NA, SC and HI must be finite: a profile cannot place ``nan`` or ``inf``.
+    A profile must be able to draw every row: NA, SC and HI must be finite,
+    z at least 1, NA and SC within [0, 1], and no community id may repeat.
+    HI is not range-checked, because its own formula can round past 1.
     """
     reports = []
+    seen: set[int] = set()
 
     def add_row(row: list[str]) -> None:
         report = CommunityReport(
@@ -182,6 +185,14 @@ def read_community_csv(source: IO[str] | str | Path) -> list[CommunityReport]:
         for name, value in zip(COMMUNITY_HEADER[3:6], (report.na, report.sc, report.hi)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if report.z < 1:
+            raise ValueError(f"z must be at least 1, got {report.z}")
+        for name, value in (("NA", report.na), ("SC", report.sc)):
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        if report.community in seen:
+            raise ValueError(f"community {report.community} appears more than once")
+        seen.add(report.community)
         reports.append(report)
 
     _read_table(source, "community", COMMUNITY_HEADER, add_row)

@@ -70,9 +70,17 @@ def parse_links(lines: Iterable[str], mode: str = STRICT_CITATION) -> list[RawLi
     Duplicates are preserved.  ``strict_citation`` additionally requires
     the destination time not to exceed the source time.
     """
+    return list(_link_stream(lines, mode, 1))
+
+
+def _link_stream(lines: Iterable[str], mode: str, k: int) -> Iterator[RawLink]:
+    """Yield the raw links of ``lines`` one at a time, their times binned by ``t // k``.
+
+    Each line is checked at its own times before it is binned, so ``k``
+    never hides a bad line; ``k = 1`` leaves the times as they are.
+    """
     if mode not in (STRICT_CITATION, PERMISSIVE):
         raise ValueError(f"unknown validation mode: {mode!r}")
-    raw: list[RawLink] = []
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -95,8 +103,7 @@ def parse_links(lines: Iterable[str], mode: str = STRICT_CITATION) -> list[RawLi
                 f"line {lineno}: target newer than source: "
                 f"({src_label},{src_time}) -> ({dst_label},{dst_time})"
             )
-        raw.append(((src_label, src_time), (dst_label, dst_time)))
-    return raw
+        yield (src_label, src_time // k), (dst_label, dst_time // k)
 
 
 def parse_link_file(path: str | Path, mode: str = STRICT_CITATION) -> list[RawLink]:

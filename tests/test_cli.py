@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import re
 
@@ -108,6 +109,65 @@ def test_detect_strict_mode_rejects_future_targets(tmp_path, capsys):
     links.write_text("A 1 B 2\n")
     assert main(["detect", str(links), str(tmp_path / "c.csv")]) == 2
     assert main(["detect", str(links), str(tmp_path / "c.csv"), "--permissive"]) == 0
+
+
+def test_coarsening_validates_fine_times(tmp_path, capsys):
+    # Both times fall in bin 0, but the target is newer than the source.
+    links = tmp_path / "links.txt"
+    links.write_text("A 5 B 6\n")
+    out = tmp_path / "c.csv"
+    assert main(["detect", str(links), str(out), "--coarsen", "10"]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: target newer than source")
+    assert not out.exists()
+    assert main(["detect", str(links), str(out), "--coarsen", "10", "--permissive"]) == 0
+
+
+@pytest.mark.parametrize("command", ["detect", "metrics", "repair"])
+def test_bad_last_link_line_fails_before_any_output(tmp_path, capsys, command):
+    # 1500 good lines put the bad one past the decoder's first 8 KiB chunk.
+    links = tmp_path / "links.txt"
+    links.write_text("a 2 b 1\n" * 1500 + "a 2 b\n")
+    cover = tmp_path / "cover.csv"
+    cover.write_text("node,timestep,community\na,2,0\nb,1,0\n")
+    out = tmp_path / "out.csv"
+    args = {
+        "detect": ["detect", str(links), str(out)],
+        "metrics": ["metrics", str(links), str(cover), "--community-out", str(out)],
+        "repair": ["repair", str(links), str(cover), str(out)],
+    }[command]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 1501: expected 4 whitespace-separated fields, got 3\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cover.csv", "links.txt"]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "out, links, code", [("c.csv", "a 2 b 1\n", 0), ("links.txt", "a 2 b 1\n", 1), ("c.csv", "a 2 b\n", 2)]
+)
+def test_main_pauses_gc_and_restores_the_callers_setting(
+    tmp_path, monkeypatch, capsys, enabled, out, links, code
+):
+    import dyncomm.cli
+
+    during = []
+    outputs = dyncomm.cli._outputs
+
+    def spy(*args):
+        during.append(gc.isenabled())
+        return outputs(*args)
+
+    monkeypatch.setattr(dyncomm.cli, "_outputs", spy)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "links.txt").write_text(links)
+    was_enabled = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        assert main(["detect", "links.txt", out]) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert during == [False]
 
 
 def test_metrics_matches_hand_computed_fixture(tmp_path):
@@ -439,8 +499,16 @@ def test_repair_names_the_disagreeing_temporal_node(tmp_path, capsys):
         ("0,1,2,nan,inf,0,0\n", 2, "NA must be finite, got nan"),
         ("0,1,1,0.0,0.0,1.0,0\n0,1,2,0.5,inf,0,0\n", 3, "SC must be finite, got inf"),
         ("0,1,2,0.5,0.5,-inf,0\n", 2, "HI must be finite, got -inf"),
+        ("0,-5,2,0.5,0.5,0.5,1\n", 2, "z must be at least 1, got -5"),
+        ("0,1,1,0.0,0.0,1.0,0\n1,0,2,0.5,0.5,0.5,1\n", 3, "z must be at least 1, got 0"),
+        ("0,1,2,7.5,-3,0.5,1\n", 2, "NA must lie in [0, 1], got 7.5"),
+        ("0,1,2,0.5,-3,0.5,1\n", 2, "SC must lie in [0, 1], got -3.0"),
+        ("0,1,1,0.0,0.0,1.0,0\n0,1,1,0.0,0.0,1.0,0\n", 3, "community 0 appears more than once"),
     ],
-    ids=["short-row", "not-a-float", "extra-field", "na-nan", "sc-inf", "hi-minus-inf"],
+    ids=[
+        "short-row", "not-a-float", "extra-field", "na-nan", "sc-inf", "hi-minus-inf",
+        "z-negative", "z-zero", "na-above-1", "sc-negative", "duplicate-id",
+    ],
 )
 def test_bad_community_rows_name_their_line(tmp_path, capsys, rows, line, message):
     communities = tmp_path / "communities.csv"
@@ -612,7 +680,7 @@ def test_sweep_pool_never_outnumbers_its_cells(tmp_path, monkeypatch):
 # after a usage line).  Raise sites that no command input can reach are left
 # out: `_planted_over_nodes` (a generated assignment covers every node),
 # `write_links` (generated labels read back), `read_assignment` (no command
-# reads one), `parse_links`' mode check (the CLI passes a valid mode),
+# reads one), the link parser's mode check (the CLI passes a valid mode),
 # `cell_config`'s parameter check (argparse's --param choices come first),
 # `Cover.membership` and `community_reports`' empty community (the cover is
 # checked against the graph first), `dissimilarity`'s size checks (a

@@ -45,7 +45,6 @@ _EXPORTS = {
     "node_activity": "metrics",
     "node_reports": "metrics",
     "parse_link_file": "temporal_graph",
-    "parse_links": "temporal_graph",
     "read_assignment": "generator",
     "read_cover": "detection",
     "repair": "repair",

@@ -32,7 +32,6 @@ from .temporal_graph import (
     SWEEPABLE_PARAMETERS,
     ConfigError,
     TemporalGraph,
-    TemporalNode,
     _link_stream,
     _opened,
     _write_table,
@@ -78,12 +77,14 @@ def _positive_int(text: str) -> int:
 def _outputs(inputs: list[str], *paths: str | Path) -> list[Path]:
     """The command's output paths, checked before anything is written.
 
-    An output that names an input, or another output, is a usage error;
-    every parent directory is created.
+    An output that is a directory, or names an input or another output, is
+    a usage error; every parent directory is created.
     """
     outputs = [Path(p) for p in paths]
     seen = {Path(p).resolve(): f"input {p}" for p in inputs}
     for path in outputs:
+        if path.is_dir():
+            raise _UsageError(f"output {path} is a directory")
         key = path.resolve()
         if key in seen:
             raise _UsageError(f"{seen[key]} and output {path} name the same file")
@@ -164,13 +165,6 @@ def render_profile_svg(reports: list[CommunityReport]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _planted_over_nodes(tg: TemporalGraph, assignment: dict[str, int]) -> dict[TemporalNode, int]:
-    try:
-        return {tn: assignment[tn.node] for tn in tg.nodes}
-    except KeyError as exc:
-        raise CoverMismatchError(f"planted assignment misses node {exc.args[0]}") from None
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     from .generator import GeneratorConfig, generate, write_assignment
 
@@ -245,24 +239,18 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cell_files(outdir: Path, tag: str) -> list[Path]:
-    """A sweep cell's links, assignment and cover files."""
-    return [outdir / f"links_{tag}.txt", outdir / f"assignment_{tag}.txt", outdir / f"cover_{tag}.csv"]
-
-
-def _sweep_cell_job(payload: tuple[GeneratorConfig, str, float, int, list[Path]]) -> list[str]:
-    from .generator import cell_config, generate, write_assignment
+def _sweep_cell_job(payload: tuple[GeneratorConfig, float, int, list[Path]]) -> list[str]:
+    from .generator import generate, write_assignment
     from .metrics import community_reports, dissimilarity
 
-    base, parameter, value, seed, (links_path, assignment_path, cover_path) = payload
-    config = cell_config(base, parameter, value, seed)
+    config, value, seed, (links_path, assignment_path, cover_path) = payload
     links, assignment = generate(config)
     write_links(links, links_path)
     write_assignment(assignment, assignment_path)
     tg = build_temporal_graph(links)
     cover = louvain(ModularityView.from_temporal_graph(tg), seed=config.seed)
     write_cover(cover, cover_path)
-    d = dissimilarity(cover.assignment, _planted_over_nodes(tg, assignment))
+    d = dissimilarity(cover.assignment, {tn: assignment[tn.node] for tn in tg.nodes})
     reports = community_reports(cover, tg)
     k = len(reports)
     return [
@@ -290,25 +278,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("--values must list at least one value")
     if not seeds:
         raise ConfigError("--seeds must list at least one seed")
-    cells = [(value, seed) for value in values for seed in seeds]
-    # Two cells with one tag would overwrite each other's files.
-    first_cell: dict[str, tuple[float, int]] = {}
-    for value, seed in cells:
-        tag = f"{args.param}{value:g}_s{seed}"
-        if tag in first_cell:
-            raise ConfigError(
-                f"cells (value {first_cell[tag][0]!r}, seed {first_cell[tag][1]}) and "
-                f"(value {value!r}, seed {seed}) would both write files tagged {tag}"
-            )
-        first_cell[tag] = (value, seed)
-    # Validate every cell before anything is written, so a bad one fails fast.
-    for value, seed in cells:
-        cell_config(base, args.param, value, seed)
     outdir = Path(args.outdir)
-    files = {tag: _cell_files(outdir, tag) for tag in first_cell}
-    cell_paths = [path for paths in files.values() for path in paths]
+    # Every cell is built, and checked, before anything is written.
+    first_cell: dict[str, tuple[float, int]] = {}
+    jobs = []
+    for value in values:
+        for seed in seeds:
+            tag = f"{args.param}{value:g}_s{seed}"
+            if tag in first_cell:  # the two cells would overwrite each other's files
+                raise ConfigError(
+                    f"cells (value {first_cell[tag][0]!r}, seed {first_cell[tag][1]}) and "
+                    f"(value {value!r}, seed {seed}) would both write files tagged {tag}"
+                )
+            first_cell[tag] = (value, seed)
+            names = (f"links_{tag}.txt", f"assignment_{tag}.txt", f"cover_{tag}.csv")
+            config = cell_config(base, args.param, value, seed)
+            jobs.append((config, value, seed, [outdir / name for name in names]))
+    cell_paths = [path for *_, paths in jobs for path in paths]
     *_, summary = _outputs([args.config], *cell_paths, outdir / "summary.csv")
-    jobs = [(base, args.param, value, seed, files[tag]) for tag, (value, seed) in first_cell.items()]
     # The pool starts all its workers at once, so it never asks for more than there are cells.
     workers = min(args.jobs, len(jobs))
     if workers > 1:

@@ -86,7 +86,7 @@ class ModularityView(NamedTuple):
     adj: tuple[tuple[tuple[int, float], ...], ...]
     self_weight: tuple[float, ...]
     degree: tuple[float, ...]
-    total_weight: float = 0.0
+    total_weight: float
 
     @classmethod
     def from_temporal_graph(cls, tg: TemporalGraph) -> "ModularityView":
@@ -172,25 +172,23 @@ def _fold_by(
 
 
 def _one_level(
-    adj: list[list[tuple[int, float]]],
-    degree: list[float],
+    adj: Sequence[Iterable[tuple[int, float]]],
+    degree: Sequence[float],
     two_m: float,
     rng: random.Random,
-) -> tuple[list[int], bool]:
+) -> list[int]:
     """Local-move phase: greedy node relocation until no move improves Q.
 
     Nodes come off a FIFO queue that starts as a seeded shuffle.  A node that
     moves queues its unqueued neighbours outside its new community, in index
-    order: the rows of ``adj`` are sorted in place.
+    order.  A level without a move returns the identity membership.
     """
     n = len(adj)
-    for row in adj:
-        row.sort()
+    adj = [sorted(row) for row in adj]
     comm = list(range(n))
     tot = list(degree)
     queue = deque(rng.sample(range(n), n))
     queued = [True] * n
-    moved_any = False
     while queue:
         i = queue.popleft()
         queued[i] = False
@@ -219,12 +217,11 @@ def _one_level(
         comm[i] = best_c
         tot[best_c] += degree[i]
         if best_c != ci:
-            moved_any = True
             for j, _ in adj[i]:
                 if not queued[j] and comm[j] != best_c:
                     queued[j] = True
                     queue.append(j)
-    return comm, moved_any
+    return comm
 
 
 def _densify(comm: list[int]) -> list[int]:
@@ -246,15 +243,11 @@ def louvain(view: ModularityView, seed: int = 0) -> Cover:
     if view.total_weight <= 0:
         raise UndefinedModularityError("louvain undefined: graph has no edges")
     rng = random.Random(seed)
-    # `_one_level` sorts the rows of its level in place, so level 0 gets list copies.
-    adj, self_w, degree = [list(a) for a in view.adj], view.self_weight, list(view.degree)
+    adj, self_w, degree = view.adj, view.self_weight, view.degree
     two_m = 2.0 * view.total_weight
     assign = list(range(view.n_nodes))
     while True:
-        comm, moved = _one_level(adj, degree, two_m, rng)
-        if not moved:
-            break
-        dense = _densify(comm)
+        dense = _densify(_one_level(adj, degree, two_m, rng))
         assign = [dense[a] for a in assign]
         if len(set(dense)) == len(dense):
             break
@@ -338,9 +331,7 @@ def _components_cover(view: ModularityView, adj: Sequence[set[int]]) -> Cover:
     return Cover(assignment=assignment, n_communities=len(comps))
 
 
-def girvan_newman(
-    view: ModularityView, max_nodes: int = GIRVAN_NEWMAN_MAX_NODES
-) -> Cover:
+def girvan_newman(view: ModularityView) -> Cover:
     """Iterative removal of the highest-betweenness edge.
 
     Returns the connected-components cover with maximal modularity over the
@@ -348,10 +339,10 @@ def girvan_newman(
     recomputed only inside the component that lost an edge.  Cubic in the
     worst case, hence the node-count guard.
     """
-    if view.n_nodes > max_nodes:
+    if view.n_nodes > GIRVAN_NEWMAN_MAX_NODES:
         raise GraphSizeError(
             f"{view.n_nodes} nodes exceeds the Girvan-Newman limit of "
-            f"{max_nodes}; use louvain instead"
+            f"{GIRVAN_NEWMAN_MAX_NODES}; use louvain instead"
         )
     if view.total_weight <= 0:
         raise UndefinedModularityError("girvan-newman undefined: graph has no edges")
@@ -405,8 +396,6 @@ def _set_partitions(n: int) -> Iterator[list[int]]:
             a[i] = v
             yield from rec(i + 1, v if v > mx else mx)
 
-    if n == 0:
-        return
     yield from rec(1, 0)
 
 

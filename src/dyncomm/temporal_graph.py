@@ -63,16 +63,6 @@ class TemporalGraph(NamedTuple):
         return sum(link.weight for link in self.links)
 
 
-def parse_links(lines: Iterable[str], mode: str = STRICT_CITATION) -> list[RawLink]:
-    """Parse a link stream into the ordered raw-link multiset.
-
-    Each non-comment line holds ``src_label src_time dst_label dst_time``.
-    Duplicates are preserved.  ``strict_citation`` additionally requires
-    the destination time not to exceed the source time.
-    """
-    return list(_link_stream(lines, mode, 1))
-
-
 def _link_stream(lines: Iterable[str], mode: str, k: int) -> Iterator[RawLink]:
     """Yield the raw links of ``lines`` one at a time, their times binned by ``t // k``.
 
@@ -106,9 +96,15 @@ def _link_stream(lines: Iterable[str], mode: str, k: int) -> Iterator[RawLink]:
         yield (src_label, src_time // k), (dst_label, dst_time // k)
 
 
-def parse_link_file(path: str | Path, mode: str = STRICT_CITATION) -> list[RawLink]:
-    with _opened(path) as handle:
-        return parse_links(handle, mode=mode)
+def parse_link_file(source: Iterable[str] | str | Path, mode: str = STRICT_CITATION) -> list[RawLink]:
+    """Parse a link stream (a path, a handle or lines) into the ordered raw-link multiset.
+
+    Each non-comment line holds ``src_label src_time dst_label dst_time``.
+    Duplicates are preserved.  ``strict_citation`` additionally requires
+    the destination time not to exceed the source time.
+    """
+    with _opened(source) as lines:
+        return list(_link_stream(lines, mode, 1))
 
 
 @contextmanager
@@ -174,7 +170,7 @@ def write_links(links: Iterable[RawLink], out: IO[str] | str | Path) -> None:
     """Write raw links in the four-field link file format, one per line.
 
     Raises LinkValidationError, before writing anything, for a label that
-    `parse_links` could not read back: empty, containing whitespace, or
+    `parse_link_file` could not read back: empty, containing whitespace, or
     starting with ``#``.
     """
     links = list(links)

@@ -599,6 +599,31 @@ def test_output_paths_are_checked_before_writing(tmp_path, monkeypatch, capsys, 
     assert {name: (tmp_path / name).read_bytes() for name in inputs} == inputs
 
 
+@pytest.mark.parametrize(
+    "args, directory",
+    [
+        (["metrics", "data.txt", "cover.csv", "--community-out", "comm.csv", "--node-out", "adir"], "adir"),
+        (["repair", "data.txt", "cover.csv", "keep.csv", "--trace", "adir"], "adir"),
+        (["generate", "config.json", "x.txt", "--assignment", "adir"], "adir"),
+        (["sweep", "config.json", "out", "--param", "p", "--values", "0.5", "--seeds", "1"],
+         "out/summary.csv"),
+    ],
+    ids=["metrics-node-out", "repair-trace", "generate-assignment", "sweep-summary"],
+)
+def test_an_output_that_is_a_directory_writes_nothing(tmp_path, monkeypatch, capsys, args, directory):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path)
+    (tmp_path / "data.txt").write_text("a 2 b 1\n")
+    (tmp_path / "cover.csv").write_text("node,timestep,community\na,2,0\nb,1,0\n")
+    (tmp_path / "keep.csv").write_text("old bytes\n")
+    (tmp_path / directory).mkdir(parents=True)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: output {directory} is a directory\n"
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 @pytest.mark.parametrize("name", ["links_p0.5_s1.txt", "assignment_p0.5_s1.txt", "cover_p0.5_s1.csv"])
 def test_sweep_never_writes_over_its_config(tmp_path, capsys, name):
     outdir = tmp_path / "out"
@@ -678,8 +703,7 @@ def test_sweep_pool_never_outnumbers_its_cells(tmp_path, monkeypatch):
 # Every error `main` can reach, at least one case per raise site: exit code,
 # message prefix and no traceback.  argparse reports its own errors (exit 1,
 # after a usage line).  Raise sites that no command input can reach are left
-# out: `_planted_over_nodes` (a generated assignment covers every node),
-# `write_links` (generated labels read back), `read_assignment` (no command
+# out: `write_links` (generated labels read back), `read_assignment` (no command
 # reads one), the link parser's mode check (the CLI passes a valid mode),
 # `cell_config`'s parameter check (argparse's --param choices come first),
 # `Cover.membership` and `community_reports`' empty community (the cover is
@@ -792,6 +816,8 @@ def cfg(**overrides):
          "argument --coarsen: must be a positive integer"),
         (["repair", "links.txt", "cover.csv", "r.csv", "--coarsen", "0"], {}, 1, USAGE,
          "argument --coarsen: must be a positive integer"),
+        # `_outputs`: an output that is a directory
+        (["detect", "links.txt", "."], {}, 1, "usage error: ", "output . is a directory"),
     ],
 )
 def test_every_reachable_error_exits_cleanly(tmp_path, monkeypatch, capsys, argv, files, code, prefix, message):

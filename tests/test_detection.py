@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+import re
 from collections import deque
 from itertools import combinations
 
@@ -271,9 +272,11 @@ def test_girvan_newman_tracks_louvain_on_synthetic_data():
 
 
 def test_girvan_newman_size_guard():
-    view = ModularityView.from_temporal_graph(two_pairs_graph())
-    with pytest.raises(GraphSizeError, match="louvain"):
-        girvan_newman(view, max_nodes=3)
+    path = build_temporal_graph([((f"n{i}", 0), (f"n{i + 1}", 0)) for i in range(500)])
+    view = ModularityView.from_temporal_graph(path)
+    message = "501 nodes exceeds the Girvan-Newman limit of 500; use louvain"
+    with pytest.raises(GraphSizeError, match=re.escape(message)):
+        girvan_newman(view)
 
 
 def test_brute_force_single_edge():

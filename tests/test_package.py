@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +96,13 @@ def test_public_names_import_from_a_fresh_interpreter():
         "from dyncomm import repair\n"
         "assert callable(repair) and repair is dyncomm.repair and repair.__name__ == 'repair'\n"
     )
+
+
+def test_readme_library_example_runs(tmp_path):
+    # The README's one Python block, so that a name it uses cannot vanish unnoticed.
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    fresh_python(block, tmp_path)
 
 
 def test_each_export_names_the_module_that_defines_it():

@@ -16,7 +16,7 @@ from dyncomm import (
     TemporalNode,
     build_temporal_graph,
     coarsen_time,
-    parse_links,
+    parse_link_file,
     write_links,
 )
 
@@ -24,39 +24,39 @@ from conftest import random_raw_links
 
 
 def test_parse_empty_stream():
-    assert parse_links([]) == []
+    assert parse_link_file([]) == []
 
 
 def test_parse_two_links_preserves_order_and_duplicates():
-    raw = parse_links(["A 2 B 1", "A 3 B 1"])
+    raw = parse_link_file(["A 2 B 1", "A 3 B 1"])
     assert raw == [(("A", 2), ("B", 1)), (("A", 3), ("B", 1))]
-    dup = parse_links(["A 2 B 1", "A 2 B 1"])
+    dup = parse_link_file(["A 2 B 1", "A 2 B 1"])
     assert dup == [(("A", 2), ("B", 1))] * 2
 
 
 def test_parse_skips_comments_and_blank_lines():
-    raw = parse_links(["# header", "", "  ", "A 2 B 1"])
+    raw = parse_link_file(["# header", "", "  ", "A 2 B 1"])
     assert raw == [(("A", 2), ("B", 1))]
 
 
 def test_parse_strict_rejects_target_newer_than_source():
     with pytest.raises(LinkValidationError, match="line 1"):
-        parse_links(["A 1 B 2"], mode=STRICT_CITATION)
-    assert parse_links(["A 1 B 2"], mode=PERMISSIVE) == [(("A", 1), ("B", 2))]
+        parse_link_file(["A 1 B 2"], mode=STRICT_CITATION)
+    assert parse_link_file(["A 1 B 2"], mode=PERMISSIVE) == [(("A", 1), ("B", 2))]
 
 
 def test_parse_malformed_lines_report_line_number():
     with pytest.raises(LinkParseError, match="line 2"):
-        parse_links(["A 1 B 1", "A 1 B"])
+        parse_link_file(["A 1 B 1", "A 1 B"])
     with pytest.raises(LinkParseError, match="line 1"):
-        parse_links(["A x B 1"])
+        parse_link_file(["A x B 1"])
     with pytest.raises(LinkParseError, match="non-negative"):
-        parse_links(["A -1 B -2"])
+        parse_link_file(["A -1 B -2"])
 
 
 def test_parse_unknown_mode_rejected():
     with pytest.raises(ValueError, match="mode"):
-        parse_links([], mode="lenient")
+        parse_link_file([], mode="lenient")
 
 
 def test_build_counts_nodes_links_and_weight():
@@ -190,7 +190,7 @@ def test_round_trip_and_counting_invariants():
         assert len(tg.nodes) <= 2 * len(raw)
         buffer = io.StringIO()
         write_links(raw, buffer)
-        reparsed = parse_links(buffer.getvalue().splitlines(), mode=PERMISSIVE)
+        reparsed = parse_link_file(buffer.getvalue().splitlines(), mode=PERMISSIVE)
         assert build_temporal_graph(reparsed) == tg
 
 
@@ -240,4 +240,4 @@ def test_written_links_read_back_or_are_rejected(links):
         write_links(links, buffer)
     except LinkValidationError:
         return
-    assert parse_links(buffer.getvalue().splitlines(), mode=PERMISSIVE) == links
+    assert parse_link_file(buffer.getvalue().splitlines(), mode=PERMISSIVE) == links

@@ -26,8 +26,6 @@ _EXPORTS = {
     "MergeStep": "repair",
     "ModularityView": "detection",
     "NodeReport": "metrics",
-    "PERMISSIVE": "temporal_graph",
-    "STRICT_CITATION": "temporal_graph",
     "TemporalGraph": "temporal_graph",
     "TemporalLink": "temporal_graph",
     "TemporalNode": "temporal_graph",

@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 # two modules below in any case.
 from .detection import (
     Cover,
-    CoverMismatchError,
     ModularityView,
     girvan_newman,
     louvain,
@@ -27,8 +26,6 @@ from .detection import (
     write_cover,
 )
 from .temporal_graph import (
-    PERMISSIVE,
-    STRICT_CITATION,
     SWEEPABLE_PARAMETERS,
     ConfigError,
     TemporalGraph,
@@ -102,9 +99,8 @@ def _load_graph(path: str, permissive: bool, coarsen: int) -> TemporalGraph:
     equals `coarsen_time` of the fine graph.  The build runs inside the
     ``with`` so that a byte that is not UTF-8 still names its line.
     """
-    mode = PERMISSIVE if permissive else STRICT_CITATION
     with _opened(path) as handle:
-        return build_temporal_graph(_link_stream(handle, mode, coarsen))
+        return build_temporal_graph(_link_stream(handle, permissive, coarsen))
 
 
 def render_profile_svg(reports: list[CommunityReport]) -> str:
@@ -192,20 +188,13 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_cover_checked(path: str, tg: TemporalGraph) -> Cover:
-    """Read a cover CSV that must cover exactly the graph's temporal nodes."""
+def _read_cover_checked(path: str) -> Cover:
+    """Read a cover CSV, warning on stderr if its community ids had gaps."""
     cover, had_gaps = read_cover(path)
     if had_gaps:
         print(
             f"warning: community ids in {path} had gaps; re-densified to 0..{cover.n_communities - 1}",
             file=sys.stderr,
-        )
-    nodes = set(tg.nodes)
-    if cover.assignment.keys() != nodes:
-        missing = [tn for tn in tg.nodes if tn not in cover.assignment]
-        detail = missing[0] if missing else min(cover.assignment.keys() - nodes)
-        raise CoverMismatchError(
-            f"cover and link data disagree on temporal node ({detail.node},{detail.t})"
         )
     return cover
 
@@ -215,7 +204,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
     _outputs([args.links, args.cover], *filter(None, (args.community_out, args.node_out)))
     tg = _load_graph(args.links, args.permissive, args.coarsen)
-    cover = _read_cover_checked(args.cover, tg)
+    cover = _read_cover_checked(args.cover)
     communities = community_reports(cover, tg)
     nodes = node_reports(cover, tg)
     if args.community_out:
@@ -317,7 +306,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
         [args.links, args.cover], args.out, args.trace or f"{Path(args.out)}.trace.csv"
     )
     tg = _load_graph(args.links, args.permissive, args.coarsen)
-    cover = _read_cover_checked(args.cover, tg)
+    cover = _read_cover_checked(args.cover)
     repaired, steps = repair(cover, tg, min_overlap=args.min_overlap)
     write_cover(repaired, out)
     write_trace(steps, trace_path)

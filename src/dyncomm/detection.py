@@ -32,7 +32,7 @@ class GraphSizeError(ValueError):
 
 
 class CoverMismatchError(ValueError):
-    """Cover is not total over the graph's temporal nodes."""
+    """Cover does not hold exactly the graph's temporal nodes."""
 
 
 class _CoverFields(NamedTuple):
@@ -60,12 +60,17 @@ class Cover(_CoverFields):
         dense = _densify(list(assignment.values()))
         return cls(assignment=dict(zip(assignment, dense)), n_communities=len(set(dense)))
 
-    def membership(self, nodes: Iterable[TemporalNode]) -> list[int]:
-        """Community id of each node, in order; every node must be covered."""
+    def membership(self, nodes: Sequence[TemporalNode]) -> list[int]:
+        """Community id of each of the distinct ``nodes``, which the cover must hold exactly."""
         try:
-            return [self.assignment[tn] for tn in nodes]
+            cids = [self.assignment[tn] for tn in nodes]
         except KeyError as exc:
-            raise CoverMismatchError(f"cover misses temporal node {exc.args[0]}") from None
+            node, t = exc.args[0]
+        else:
+            if len(cids) == len(self.assignment):
+                return cids
+            node, t = min(self.assignment.keys() - set(nodes))
+        raise CoverMismatchError(f"cover and link data disagree on temporal node ({node},{t})")
 
     def communities(self) -> list[list[TemporalNode]]:
         groups: list[list[TemporalNode]] = [[] for _ in range(self.n_communities)]

@@ -39,11 +39,11 @@ class NodeReport(NamedTuple):
 
 
 def node_activity(community: Iterable[TemporalNode]) -> float:
-    """NA = 1 - z/|C|: recurrence of node participation over timesteps."""
+    """NA = 1 - z/|C|, computed as (|C| - z)/|C|: recurrence of node participation over timesteps."""
     members = list(community)
     if not members:
         raise ValueError("community must not be empty")
-    return 1.0 - len(set(tn.node for tn in members)) / len(members)
+    return (len(members) - len(set(tn.node for tn in members))) / len(members)
 
 
 def dissimilarity(
@@ -95,8 +95,6 @@ def community_reports(cover: Cover, tg: TemporalGraph) -> list[CommunityReport]:
     reports = []
     for cid in range(cover.n_communities):
         group = members[cid]
-        if not group:
-            raise ValueError(f"community {cid} has no temporal nodes")
         z = len(set(tn.node for tn in group))
         size = len(group)
         total = internal[cid]
@@ -111,7 +109,7 @@ def community_reports(cover: Cover, tg: TemporalGraph) -> list[CommunityReport]:
                 community=cid,
                 z=z,
                 temporal_size=size,
-                na=1.0 - z / size,
+                na=(size - z) / size,
                 sc=sc,
                 hi=hi,
                 internal_links=total,

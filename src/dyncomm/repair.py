@@ -81,7 +81,6 @@ def repair(
             lo, hi = (a, x) if a < x else (x, a)
             heappush(heap, (
                 -(gain_num * scale // gain_den), lo, hi, version[lo], version[hi],
-                # Not 1 - union/merged_size: that rounds differently, and the trace stores repr().
                 (merged_size - union) / merged_size, gain_num / gain_den,
             ))
 

@@ -17,9 +17,6 @@ from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 RawLink = tuple[tuple[str, int], tuple[str, int]]
 
-STRICT_CITATION = "strict_citation"
-PERMISSIVE = "permissive"
-
 # The generator's error and sweep parameters live here, so that the CLI can
 # catch the one and offer the other without importing the generator.
 SWEEPABLE_PARAMETERS = ("p", "d")
@@ -34,7 +31,7 @@ class LinkParseError(ValueError):
 
 
 class LinkValidationError(ValueError):
-    """Structurally valid link that violates the active validation mode."""
+    """Structurally valid link that cannot be accepted, such as one that cites a later time."""
 
 
 class TemporalNode(NamedTuple):
@@ -63,14 +60,12 @@ class TemporalGraph(NamedTuple):
         return sum(link.weight for link in self.links)
 
 
-def _link_stream(lines: Iterable[str], mode: str, k: int) -> Iterator[RawLink]:
+def _link_stream(lines: Iterable[str], permissive: bool, k: int) -> Iterator[RawLink]:
     """Yield the raw links of ``lines`` one at a time, their times binned by ``t // k``.
 
     Each line is checked at its own times before it is binned, so ``k``
     never hides a bad line; ``k = 1`` leaves the times as they are.
     """
-    if mode not in (STRICT_CITATION, PERMISSIVE):
-        raise ValueError(f"unknown validation mode: {mode!r}")
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -88,7 +83,7 @@ def _link_stream(lines: Iterable[str], mode: str, k: int) -> Iterator[RawLink]:
             raise LinkParseError(f"line {lineno}: times must be integers") from None
         if src_time < 0 or dst_time < 0:
             raise LinkParseError(f"line {lineno}: times must be non-negative")
-        if mode == STRICT_CITATION and dst_time > src_time:
+        if not permissive and dst_time > src_time:
             raise LinkValidationError(
                 f"line {lineno}: target newer than source: "
                 f"({src_label},{src_time}) -> ({dst_label},{dst_time})"
@@ -96,15 +91,15 @@ def _link_stream(lines: Iterable[str], mode: str, k: int) -> Iterator[RawLink]:
         yield (src_label, src_time // k), (dst_label, dst_time // k)
 
 
-def parse_link_file(source: Iterable[str] | str | Path, mode: str = STRICT_CITATION) -> list[RawLink]:
+def parse_link_file(source: Iterable[str] | str | Path, *, permissive: bool = False) -> list[RawLink]:
     """Parse a link stream (a path, a handle or lines) into the ordered raw-link multiset.
 
     Each non-comment line holds ``src_label src_time dst_label dst_time``.
-    Duplicates are preserved.  ``strict_citation`` additionally requires
-    the destination time not to exceed the source time.
+    Duplicates are preserved.  A destination time may not exceed its
+    source time unless ``permissive``.
     """
     with _opened(source) as lines:
-        return list(_link_stream(lines, mode, 1))
+        return list(_link_stream(lines, permissive, 1))
 
 
 @contextmanager

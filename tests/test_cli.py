@@ -704,13 +704,12 @@ def test_sweep_pool_never_outnumbers_its_cells(tmp_path, monkeypatch):
 # message prefix and no traceback.  argparse reports its own errors (exit 1,
 # after a usage line).  Raise sites that no command input can reach are left
 # out: `write_links` (generated labels read back), `read_assignment` (no command
-# reads one), the link parser's mode check (the CLI passes a valid mode),
-# `cell_config`'s parameter check (argparse's --param choices come first),
-# `Cover.membership` and `community_reports`' empty community (the cover is
-# checked against the graph first), `dissimilarity`'s size checks (a
-# generated graph has at least two temporal nodes), `repair`'s and
-# `coarsen_time`'s factor checks (argparse takes positive integers only) and
-# the TemporalGraph and Cover constructors' checks (always built consistent).
+# reads one), `cell_config`'s parameter check (argparse's --param choices come
+# first), `dissimilarity`'s size checks (a generated graph has at least two
+# temporal nodes), `repair`'s and `coarsen_time`'s factor checks (argparse
+# takes positive integers only) and the TemporalGraph and Cover constructors'
+# checks (always built consistent).  The two `disagree` rows reach
+# `Cover.membership`, the one place a cover is checked against its graph.
 LINKS = "a 2 b 1\n"
 COVER = "node,timestep,community\na,2,0\nb,1,0\n"
 COMMUNITIES = "community,z,temporal_size,NA,SC,HI,internal_links\n"

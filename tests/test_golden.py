@@ -17,8 +17,8 @@ from dyncomm.cli import main
 CONFIG = {"n_c": 3, "m": 5, "t_max": 12, "w": 4, "d": 2, "p": 0.85, "seed": 11}
 
 GOLDEN = {
-    "communities_k1.csv": "1d7108c1d4d71821745c5fa5fbfdf6de62b26d19f311407b4b4d3daee444d719",
-    "communities_k3.csv": "f0528aa34904ce3e0f10b9842ba7a7563bec85b50ccd365cc44b0011ad047f16",
+    "communities_k1.csv": "32a57a01485d4383ef75ca1ced57ac34e049923968aef110bfcddfb889bb807b",
+    "communities_k3.csv": "820b8df32caaa90bd8dfc95cce377334da8e35a4effc7c24a42c03efc8922da3",
     "gn_k1.csv": "15f6f94a3449d84515b75e973c88f8d42efa9b903a215fbd4f089f85fddaa6b7",
     "links.txt": "5bc9e3b5e2ad38fb804b1900fe73c149c8bdc131991a4a0afa360b26fbda020f",
     "links.txt.assignment": "67b690b881c3042819ee108e4d625d836ce58db359c25e3060d03e358b36d09d",
@@ -39,7 +39,7 @@ GOLDEN = {
     "sweep/links_p0.5_s2.txt": "b5c903d32d91942e97376a06a85488414fb8848badf1aa02ef14b6ade43c3815",
     "sweep/links_p0.9_s1.txt": "578fa22a694b5df1c67c95cffd7df968f3a54de2cd89dfec03af004fe342dd40",
     "sweep/links_p0.9_s2.txt": "4ab82b32b6f1f932fa252e28c4e1235022d6e22a84068713fc5835aac836a3f5",
-    "sweep/summary.csv": "d52bd9fca687697e30d26e9888d7a73c9c368ef30de8020d61159bb861fe945d",
+    "sweep/summary.csv": "c4885390b4c8c6a96bc5a705a19b056ba44f72ee6bbec476f4141a546d1f3d2a",
     "trace.csv": "711bf36b4e91bf998626ef7d7af7ae0c81d82d7e8816120327ac4a93d7e33790",
 }
 

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import io
 import random
+import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,12 +12,15 @@ from hypothesis import given, settings, strategies as st
 from dyncomm import (
     Cover,
     CoverMismatchError,
+    ModularityView,
     TemporalNode,
     build_temporal_graph,
     community_reports,
     dissimilarity,
+    modularity,
     node_activity,
     node_reports,
+    repair,
     write_community_csv,
     write_node_csv,
 )
@@ -39,9 +44,9 @@ def test_z_counts_distinct_physical_nodes():
     assert report(three).z == 2
     lone = build_temporal_graph([], isolated_nodes=[("A", 5)])
     assert report(lone).z == 1
-    # community 1 holds no node of the graph
+    # community 1 holds only a node outside the graph
     ghost = Cover(assignment={tn("A", 5): 0, tn("B", 1): 1}, n_communities=2)
-    with pytest.raises(ValueError, match="community 1 has no temporal nodes"):
+    with pytest.raises(CoverMismatchError, match=re.escape("temporal node (B,1)")):
         community_reports(ghost, lone)
 
 
@@ -242,14 +247,14 @@ def direct_metrics(group, tg):
     z = len({member.node for member in group})
     total = sum(link.weight for link in links)
     if total == 0:
-        return z, 1 - z / len(group), 0.0, 1.0
+        return z, float(1 - Fraction(z, len(group))), 0.0, 1.0
     sc = sum(link.weight for link in links if link.source.node == link.target.node) / total
     shares = Counter()
     for link in links:
         shares[link.source.node] += link.weight / total
     h = 1 / (z * sum(share * share for share in shares.values()))
     hi = 1.0 if z == 1 else (h - 1 / z) / (1 - 1 / z)
-    return z, 1 - z / len(group), sc, hi
+    return z, float(1 - Fraction(z, len(group))), sc, hi
 
 
 @settings(max_examples=300)
@@ -315,6 +320,25 @@ def test_reports_reject_partial_cover():
         community_reports(partial, tg)
     with pytest.raises(CoverMismatchError):
         node_reports(partial, tg)
+
+
+@pytest.mark.parametrize("ghost_community", [0, 1], ids=["shared", "alone"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cover, tg: modularity(ModularityView.from_temporal_graph(tg), cover),
+        community_reports,
+        node_reports,
+        repair,
+    ],
+    ids=["modularity", "community_reports", "node_reports", "repair"],
+)
+def test_a_cover_with_a_node_outside_the_graph_is_rejected(call, ghost_community):
+    tg = build_temporal_graph([(("a", 1), ("b", 1)), (("c", 1), ("b", 1))])
+    assignment = {**dict.fromkeys(tg.nodes, 0), tn("ghost", 9): ghost_community}
+    cover = Cover(assignment=assignment, n_communities=ghost_community + 1)
+    with pytest.raises(CoverMismatchError, match=re.escape("disagree on temporal node (ghost,9)")):
+        call(cover, tg)
 
 
 def test_csv_round_trip():

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +104,23 @@ def test_readme_library_example_runs(tmp_path):
     readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
     fresh_python(block, tmp_path)
+
+
+def test_readme_cli_example_runs(tmp_path, monkeypatch):
+    # The README's CLI block, in order, on its own generator config, so that a
+    # documented command or flag cannot vanish unnoticed.
+    from dyncomm.cli import main
+
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    (config,) = [text for lang, text in blocks if lang == "json"]
+    (cli,) = [text for lang, text in blocks if not lang and "dyncomm generate" in text]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(config)
+    lines = [line for line in cli.splitlines() if line.startswith("dyncomm ")]
+    assert len(lines) == 6
+    for line in lines:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line
 
 
 def test_each_export_names_the_module_that_defines_it():

@@ -10,8 +10,6 @@ from hypothesis import given, settings, strategies as st
 from dyncomm import (
     LinkParseError,
     LinkValidationError,
-    PERMISSIVE,
-    STRICT_CITATION,
     TemporalGraph,
     TemporalNode,
     build_temporal_graph,
@@ -41,8 +39,11 @@ def test_parse_skips_comments_and_blank_lines():
 
 def test_parse_strict_rejects_target_newer_than_source():
     with pytest.raises(LinkValidationError, match="line 1"):
-        parse_link_file(["A 1 B 2"], mode=STRICT_CITATION)
-    assert parse_link_file(["A 1 B 2"], mode=PERMISSIVE) == [(("A", 1), ("B", 2))]
+        parse_link_file(["A 1 B 2"])
+    assert parse_link_file(["A 1 B 2"], permissive=True) == [(("A", 1), ("B", 2))]
+    # keyword-only, so that a truthy positional string cannot turn the rule off
+    with pytest.raises(TypeError):
+        parse_link_file(["A 1 B 2"], "strict_citation")
 
 
 def test_parse_malformed_lines_report_line_number():
@@ -52,11 +53,6 @@ def test_parse_malformed_lines_report_line_number():
         parse_link_file(["A x B 1"])
     with pytest.raises(LinkParseError, match="non-negative"):
         parse_link_file(["A -1 B -2"])
-
-
-def test_parse_unknown_mode_rejected():
-    with pytest.raises(ValueError, match="mode"):
-        parse_link_file([], mode="lenient")
 
 
 def test_build_counts_nodes_links_and_weight():
@@ -190,7 +186,7 @@ def test_round_trip_and_counting_invariants():
         assert len(tg.nodes) <= 2 * len(raw)
         buffer = io.StringIO()
         write_links(raw, buffer)
-        reparsed = parse_link_file(buffer.getvalue().splitlines(), mode=PERMISSIVE)
+        reparsed = parse_link_file(buffer.getvalue().splitlines(), permissive=True)
         assert build_temporal_graph(reparsed) == tg
 
 
@@ -240,4 +236,4 @@ def test_written_links_read_back_or_are_rejected(links):
         write_links(links, buffer)
     except LinkValidationError:
         return
-    assert parse_link_file(buffer.getvalue().splitlines(), mode=PERMISSIVE) == links
+    assert parse_link_file(buffer.getvalue().splitlines(), permissive=True) == links

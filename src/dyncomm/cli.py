@@ -65,7 +65,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # rejected below, in the same words
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
@@ -75,7 +78,7 @@ def _outputs(inputs: list[str], *paths: str | Path) -> list[Path]:
     """The command's output paths, checked before anything is written.
 
     An output that is a directory, or names an input or another output, is
-    a usage error; every parent directory is created.
+    a usage error.  A missing parent directory is made only when its file is written.
     """
     outputs = [Path(p) for p in paths]
     seen = {Path(p).resolve(): f"input {p}" for p in inputs}
@@ -86,8 +89,6 @@ def _outputs(inputs: list[str], *paths: str | Path) -> list[Path]:
         if key in seen:
             raise _UsageError(f"{seen[key]} and output {path} name the same file")
         seen[key] = f"output {path}"
-    for path in outputs:
-        path.parent.mkdir(parents=True, exist_ok=True)
     return outputs
 
 
@@ -223,12 +224,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     (out,) = _outputs([args.communities], args.out)
     reports = read_community_csv(args.communities)
-    out.write_text(render_profile_svg(reports), encoding="utf-8")
+    with _opened(out, "w") as handle:
+        handle.write(render_profile_svg(reports))
     print(f"wrote profile of {len(reports)} communities to {out}")
     return EXIT_OK
 
 
-def _sweep_cell_job(payload: tuple[GeneratorConfig, float, int, list[Path]]) -> list[str]:
+def _sweep_cell_job(payload: tuple[GeneratorConfig, float, int, list[Path]]) -> tuple:
     from .generator import generate, write_assignment
     from .metrics import community_reports, dissimilarity
 
@@ -242,16 +244,16 @@ def _sweep_cell_job(payload: tuple[GeneratorConfig, float, int, list[Path]]) -> 
     d = dissimilarity(cover.assignment, {tn: assignment[tn.node] for tn in tg.nodes})
     reports = community_reports(cover, tg)
     k = len(reports)
-    return [
-        repr(float(value)),
-        str(seed),
-        str(cover.n_communities),
-        repr(d),
-        repr(sum(r.na for r in reports) / k),
-        repr(sum(r.sc for r in reports) / k),
-        repr(sum(r.hi for r in reports) / k),
-        repr(sum(r.z for r in reports) / k),
-    ]
+    return (
+        value,
+        seed,
+        cover.n_communities,
+        d,
+        sum(r.na for r in reports) / k,
+        sum(r.sc for r in reports) / k,
+        sum(r.hi for r in reports) / k,
+        sum(r.z for r in reports) / k,
+    )
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

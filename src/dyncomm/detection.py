@@ -258,11 +258,7 @@ def louvain(view: ModularityView, seed: int = 0) -> Cover:
             break
         adj, self_w, degree = _fold_by(adj, self_w, dense)
     inside = [[j for j, _ in row if assign[j] == assign[i]] for i, row in enumerate(view.adj)]
-    split = [0] * view.n_nodes
-    for cid, comp in enumerate(_components(inside, range(view.n_nodes))):
-        for i in comp:
-            split[i] = cid
-    return _cover(view, split)
+    return _cover(view, _split(inside))
 
 
 def _cover(view: ModularityView, comm: list[int]) -> Cover:
@@ -270,30 +266,30 @@ def _cover(view: ModularityView, comm: list[int]) -> Cover:
     return Cover.from_assignment(dict(zip(view.nodes, comm)))
 
 
-def _components(adj: Sequence[Iterable[int]], nodes: Iterable[int]) -> list[list[int]]:
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for start in nodes:
-        if start in seen:
-            continue
-        seen.add(start)
-        queue = deque([start])
-        comp = []
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        comps.append(comp)
-    return comps
+def _split(adj: Sequence[Iterable[int]]) -> list[int]:
+    """The connected-component id of each node, components numbered by their smallest node."""
+    comp = [-1] * len(adj)
+    n_comps = 0
+    for start in range(len(adj)):
+        if comp[start] < 0:
+            comp[start] = n_comps
+            stack = [start]
+            while stack:
+                for v in adj[stack.pop()]:
+                    if comp[v] < 0:
+                        comp[v] = n_comps
+                        stack.append(v)
+            n_comps += 1
+    return comp
 
 
 def _edge_betweenness(
-    adj: Sequence[set[int]], nodes: list[int]
+    adj: Sequence[set[int]], nodes: Sequence[int]
 ) -> dict[tuple[int, int], float]:
-    """Brandes accumulation over the given nodes, unweighted shortest paths."""
+    """Brandes accumulation from the given sources, unweighted shortest paths.
+
+    A source reaches only its own component, so ``nodes`` may span several.
+    """
     bw: dict[tuple[int, int], float] = {}
     for u in nodes:
         for v in adj[u]:
@@ -327,15 +323,6 @@ def _edge_betweenness(
     return bw
 
 
-def _components_cover(view: ModularityView, adj: Sequence[set[int]]) -> Cover:
-    comps = _components(adj, range(view.n_nodes))
-    assignment: dict[TemporalNode, int] = {}
-    for cid, comp in enumerate(comps):
-        for i in comp:
-            assignment[view.nodes[i]] = cid
-    return Cover(assignment=assignment, n_communities=len(comps))
-
-
 def girvan_newman(view: ModularityView) -> Cover:
     """Iterative removal of the highest-betweenness edge.
 
@@ -352,12 +339,9 @@ def girvan_newman(view: ModularityView) -> Cover:
     if view.total_weight <= 0:
         raise UndefinedModularityError("girvan-newman undefined: graph has no edges")
     adj = [{j for j, _ in row} for row in view.adj]
-    best_cover = _components_cover(view, adj)
-    best_q = modularity(view, best_cover)
-    bw: dict[tuple[int, int], float] = {}
-    comps = _components(adj, range(view.n_nodes))
-    for comp in comps:
-        bw.update(_edge_betweenness(adj, comp))
+    best = _split(adj)
+    best_q = _modularity(view, best)
+    bw = _edge_betweenness(adj, range(view.n_nodes))
     while bw:
         target = None
         target_bw = -1.0
@@ -373,20 +357,16 @@ def girvan_newman(view: ModularityView) -> Cover:
         adj[u].discard(v)
         adj[v].discard(u)
         # Only the component that contained (u, v) changes.
-        affected = _components(adj, [u, v])
-        stale = set()
-        for comp in affected:
-            stale.update(comp)
-        for edge in [e for e in bw if e[0] in stale or e[1] in stale]:
+        comm = _split(adj)
+        stale = {comm[u], comm[v]}
+        for edge in [e for e in bw if comm[e[0]] in stale]:
             del bw[edge]
-        for comp in affected:
-            bw.update(_edge_betweenness(adj, comp))
-        cover = _components_cover(view, adj)
-        q = modularity(view, cover)
+        bw.update(_edge_betweenness(adj, [i for i, c in enumerate(comm) if c in stale]))
+        q = _modularity(view, comm)
         if q > best_q + _EPS:
-            best_cover = cover
+            best = comm
             best_q = q
-    return best_cover
+    return _cover(view, best)
 
 
 def _set_partitions(n: int) -> Iterator[list[int]]:
@@ -441,7 +421,7 @@ def read_cover(source: IO[str] | str | Path) -> tuple[Cover, bool]:
     def add_row(row: list[str]) -> None:
         tn = TemporalNode(row[0], int(row[1]))
         if tn in raw:
-            raise ValueError(f"duplicate cover row for {tn}")
+            raise ValueError(f"duplicate cover row for ({tn.node},{tn.t})")
         raw[tn] = int(row[2])
 
     _read_table(source, "cover", COVER_HEADER, add_row)

@@ -148,16 +148,11 @@ def node_reports(cover: Cover, tg: TemporalGraph) -> list[NodeReport]:
 def write_community_csv(
     reports: Iterable[CommunityReport], out: IO[str] | str | Path
 ) -> None:
-    rows = (
-        [r.community, r.z, r.temporal_size, repr(r.na), repr(r.sc), repr(r.hi), r.internal_links]
-        for r in reports
-    )
-    _write_table(out, COMMUNITY_HEADER, rows)
+    _write_table(out, COMMUNITY_HEADER, reports)
 
 
 def write_node_csv(reports: Iterable[NodeReport], out: IO[str] | str | Path) -> None:
-    rows = ([r.node, r.lifetime, r.membership, repr(r.cm), repr(r.ct)] for r in reports)
-    _write_table(out, NODE_HEADER, rows)
+    _write_table(out, NODE_HEADER, reports)
 
 
 def read_community_csv(source: IO[str] | str | Path) -> list[CommunityReport]:

@@ -122,5 +122,4 @@ def repair(
 
 def write_trace(steps: Iterable[MergeStep], out: IO[str] | str | Path) -> None:
     """Write the merge trace CSV `step,community_a,community_b,merged_NA,gain`."""
-    rows = ([s.step, s.community_a, s.community_b, repr(s.merged_na), repr(s.gain)] for s in steps)
-    _write_table(out, TRACE_HEADER, rows)
+    _write_table(out, TRACE_HEADER, steps)

@@ -106,11 +106,14 @@ def parse_link_file(source: Iterable[str] | str | Path, *, permissive: bool = Fa
 def _opened(target: IO[str] | Iterable[str] | str | Path, mode: str = "r") -> Iterator:
     """Yield ``target`` itself, or the UTF-8 text file it names opened in ``mode``.
 
-    Files open with ``newline=""``: the csv module needs it, and every
-    writer in the package ends its lines with a bare line feed.  A file
-    that is not UTF-8 raises a ValueError naming the line of its first bad byte.
+    The package opens every file here.  Files open with ``newline=""``: the
+    csv module needs it, and every writer in the package ends its lines with
+    a bare line feed.  A file to write gets its missing parent directories.
+    A file that is not UTF-8 raises a ValueError naming the line of its first bad byte.
     """
     if isinstance(target, (str, Path)):
+        if mode != "r":
+            Path(target).parent.mkdir(parents=True, exist_ok=True)
         with open(target, mode, encoding="utf-8", newline="") as handle:
             try:
                 yield handle

@@ -624,6 +624,42 @@ def test_an_output_that_is_a_directory_writes_nothing(tmp_path, monkeypatch, cap
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
+@pytest.mark.parametrize(
+    "args, files",
+    [
+        (["detect", "e.txt", "nd/sub/c.csv"], {"e.txt": "# no links\n"}),
+        (["detect", "bad.txt", "nd2/c.csv"], {"bad.txt": "a 2 b 1\na 2 b\n"}),
+        (["metrics", "data.txt", "part.csv", "--community-out", "new/c.csv"], {}),
+        (["repair", "data.txt", "part.csv", "new/r.csv"], {}),
+        (["profile", "comm.csv", "new/p.svg"], {"comm.csv": "community,z\n"}),
+    ],
+    ids=["detect-edgeless", "detect-bad-line", "metrics-missing-node", "repair-missing-node",
+         "profile-bad-row"],
+)
+def test_a_failed_command_creates_no_directory(tmp_path, monkeypatch, capsys, args, files):
+    # A file's missing parent directories are made only when the file is written.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.txt").write_text("a 2 b 1\n")
+    (tmp_path / "part.csv").write_text("node,timestep,community\na,2,0\n")
+    for name, content in files.items():
+        (tmp_path / name).write_text(content)
+    before = set(tmp_path.rglob("*"))
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert set(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("algo", ["louvain", "gn"])
+def test_detect_writes_rows_in_graph_order(tmp_path, algo):
+    # Components {a,b,e} and {c,d}: breadth-first order a,b,e,c,d is not graph order a,b,c,d,e.
+    links = tmp_path / "links.txt"
+    links.write_text("a 1 b 1\nc 1 d 1\na 1 e 1\n")
+    out = tmp_path / "cover.csv"
+    assert main(["detect", str(links), str(out), "--algo", algo]) == 0
+    rows = [(row["node"], int(row["timestep"])) for row in read_csv_rows(out)]
+    assert rows == list(build_temporal_graph(parse_link_file(links)).nodes)
+
+
 @pytest.mark.parametrize("name", ["links_p0.5_s1.txt", "assignment_p0.5_s1.txt", "cover_p0.5_s1.csv"])
 def test_sweep_never_writes_over_its_config(tmp_path, capsys, name):
     outdir = tmp_path / "out"
@@ -795,7 +831,7 @@ def cfg(**overrides):
         (["metrics", "links.txt", "bad.csv"], {"bad.csv": COVER + "c,x,0\n"}, 2, DATA,
          "line 4: invalid literal for int()"),
         (["repair", "links.txt", "bad.csv", "r.csv"], {"bad.csv": COVER + "a,2,1\n"}, 2, DATA,
-         "line 4: duplicate cover row"),
+         "line 4: duplicate cover row for (a,2)"),
         (["metrics", "links.txt", "bad.csv"], {"bad.csv": COVER[:-6]}, 2, DATA,
          "cover and link data disagree on temporal node (b,1)"),
         (["repair", "links.txt", "bad.csv", "r.csv"], {"bad.csv": COVER + "c,1,0\n"}, 2, DATA,
@@ -817,6 +853,13 @@ def cfg(**overrides):
          "argument --coarsen: must be a positive integer"),
         # `_outputs`: an output that is a directory
         (["detect", "links.txt", "."], {}, 1, "usage error: ", "output . is a directory"),
+        # `_positive_int`: a value that is not an integer at all
+        (["detect", "links.txt", "c.csv", "--coarsen", "1.5"], {}, 1, USAGE,
+         "argument --coarsen: must be a positive integer"),
+        (SWEEP + ["--values", "1", "--seeds", "1", "--jobs", "x"], {}, 1, USAGE,
+         "argument --jobs: must be a positive integer"),
+        (["repair", "links.txt", "cover.csv", "r.csv", "--min-overlap", "x"], {}, 1, USAGE,
+         "argument --min-overlap: must be a positive integer"),
     ],
 )
 def test_every_reachable_error_exits_cleanly(tmp_path, monkeypatch, capsys, argv, files, code, prefix, message):

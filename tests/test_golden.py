@@ -19,7 +19,7 @@ CONFIG = {"n_c": 3, "m": 5, "t_max": 12, "w": 4, "d": 2, "p": 0.85, "seed": 11}
 GOLDEN = {
     "communities_k1.csv": "32a57a01485d4383ef75ca1ced57ac34e049923968aef110bfcddfb889bb807b",
     "communities_k3.csv": "820b8df32caaa90bd8dfc95cce377334da8e35a4effc7c24a42c03efc8922da3",
-    "gn_k1.csv": "15f6f94a3449d84515b75e973c88f8d42efa9b903a215fbd4f089f85fddaa6b7",
+    "gn_k1.csv": "1510196a6c99667c5a4e2b09352481a1777972d76eccf2f5202ace4e1eda7c86",
     "links.txt": "5bc9e3b5e2ad38fb804b1900fe73c149c8bdc131991a4a0afa360b26fbda020f",
     "links.txt.assignment": "67b690b881c3042819ee108e4d625d836ce58db359c25e3060d03e358b36d09d",
     "louvain_k1.csv": "2262bd0727119c134ea90af8b8b435221a2231beb871a9eeea26f2803036c68c",

@@ -6,6 +6,7 @@ has long since imported every module.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
@@ -121,6 +122,28 @@ def test_readme_cli_example_runs(tmp_path, monkeypatch):
     assert len(lines) == 6
     for line in lines:
         assert main(shlex.split(line, comments=True)[1:]) == 0, line
+
+
+def test_every_file_is_opened_in_one_place():
+    # `temporal_graph._opened` makes an output's parent directories, and is
+    # where a publish step for outputs belongs; no other code opens a file.
+    openers = {"open", "write_text", "write_bytes", "read_text", "read_bytes"}
+    inside, outside = [], []
+    for path in sorted((SRC / "dyncomm").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_opened":
+                assert path.name == "temporal_graph.py"
+                allowed = {id(sub) for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "open"
+                or isinstance(node.func, ast.Attribute) and node.func.attr in openers
+            ):
+                (inside if id(node) in allowed else outside).append(f"{path.name}:{node.lineno}")
+    assert inside  # the guard sees the opener itself
+    assert outside == []
 
 
 def test_each_export_names_the_module_that_defines_it():

@@ -178,8 +178,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     (out,) = _outputs([args.links], args.out)
-    tg = _load_graph(args.links, args.permissive, args.coarsen)
-    view = ModularityView.from_temporal_graph(tg)
+    # No name holds the graph, so its links are freed before detection runs.
+    view = ModularityView.from_temporal_graph(
+        _load_graph(args.links, args.permissive, args.coarsen)
+    )
     if args.algo == "louvain":
         cover = louvain(view, seed=args.seed)
     else:

@@ -101,7 +101,7 @@ class ModularityView(NamedTuple):
         )
         return cls(
             nodes=tg.nodes,
-            adj=tuple(map(tuple, adj)),
+            adj=tuple(adj),
             self_weight=tuple(self_w),
             degree=tuple(degree),
             total_weight=float(tg.total_weight),
@@ -135,34 +135,38 @@ def _modularity(view: ModularityView, comm: list[int]) -> float:
 
 def _fold(
     k: int, triples: Iterable[tuple[int, int, float]]
-) -> tuple[list[list[tuple[int, float]]], list[float], list[float]]:
+) -> tuple[list[tuple[tuple[int, float], ...]], list[float], list[float]]:
     """Fold weight triples ``(i, j, w)`` over ids ``0..k-1`` into ``(adj, self_weight, degree)``.
 
     A triple with ``i == j`` is a self-loop.  Weights of one unordered pair
-    add up whichever way round they come; the pair is listed at both ends,
-    in order of first appearance.  Degree counts a self-loop twice.
+    add up in one dict per row, at both ends, whichever way round they come;
+    each row lists its pairs in order of first appearance.  Rows become
+    tuples one at a time, so only one copy of each is held at once.  Degree
+    counts a self-loop twice.
     """
     self_w = [0.0] * k
-    pair: dict[tuple[int, int], float] = {}
+    rows: list[dict[int, float]] = [{} for _ in range(k)]
     for i, j, w in triples:
         if i == j:
             self_w[i] += w
         else:
-            key = (i, j) if i < j else (j, i)
-            pair[key] = pair.get(key, 0.0) + w
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(k)]
-    degree = [2.0 * w for w in self_w]
-    for (i, j), w in pair.items():
-        adj[i].append((j, w))
-        adj[j].append((i, w))
-        degree[i] += w
-        degree[j] += w
+            row = rows[i]
+            row[j] = row.get(j, 0.0) + w
+            row = rows[j]
+            row[i] = row.get(i, 0.0) + w
+    adj: list[tuple[tuple[int, float], ...]] = []
+    degree: list[float] = []
+    rows.reverse()  # pop each row's dict in order and drop it once its tuple exists
+    for w in self_w:
+        row = rows.pop()
+        adj.append(tuple(row.items()))
+        degree.append(sum(row.values(), 2.0 * w))
     return adj, self_w, degree
 
 
 def _fold_by(
     adj: Sequence[Iterable[tuple[int, float]]], self_w: Sequence[float], comm: list[int]
-) -> tuple[list[list[tuple[int, float]]], list[float], list[float]]:
+) -> tuple[list[tuple[tuple[int, float], ...]], list[float], list[float]]:
     """`_fold` of a level's self-loops and pairs, each end relabelled by ``comm``."""
 
     def triples() -> Iterator[tuple[int, int, float]]:

@@ -64,8 +64,12 @@ def _link_stream(lines: Iterable[str], permissive: bool, k: int) -> Iterator[Raw
     """Yield the raw links of ``lines`` one at a time, their times binned by ``t // k``.
 
     Each line is checked at its own times before it is binned, so ``k``
-    never hides a bad line; ``k = 1`` leaves the times as they are.
+    never hides a bad line; ``k = 1`` leaves the times as they are.  Equal
+    binned endpoints are one object, so each distinct (label, bin) is held
+    once however many lines name it.
     """
+    vertex: dict[tuple[str, int], tuple[str, int]] = {}
+    intern = vertex.setdefault
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -88,7 +92,9 @@ def _link_stream(lines: Iterable[str], permissive: bool, k: int) -> Iterator[Raw
                 f"line {lineno}: target newer than source: "
                 f"({src_label},{src_time}) -> ({dst_label},{dst_time})"
             )
-        yield (src_label, src_time // k), (dst_label, dst_time // k)
+        src = (src_label, src_time // k)
+        dst = (dst_label, dst_time // k)
+        yield intern(src, src), intern(dst, dst)
 
 
 def parse_link_file(source: Iterable[str] | str | Path, *, permissive: bool = False) -> list[RawLink]:

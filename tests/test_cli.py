@@ -4,22 +4,26 @@ import csv
 import gc
 import json
 import re
+import tracemalloc
 
 import pytest
 
 from dyncomm import (
+    GeneratorConfig,
     ModularityView,
     build_temporal_graph,
     coarsen_time,
     community_reports,
+    generate,
     louvain,
     node_reports,
     parse_link_file,
     write_community_csv,
     write_cover,
+    write_links,
     write_node_csv,
 )
-from dyncomm.cli import main, render_profile_svg
+from dyncomm.cli import _load_graph, main, render_profile_svg
 from dyncomm.metrics import CommunityReport
 
 BASE_CONFIG = {"n_c": 4, "m": 5, "t_max": 20, "w": 10, "d": 3, "p": 1.0, "seed": 13}
@@ -102,6 +106,47 @@ def test_coarsened_commands_match_library_coarsen_time(tmp_path):
     write_node_csv(node_reports(cover, tg), lib / "nodes.csv")
     for name in ("cover.csv", "comm.csv", "nodes.csv"):
         assert (cli / name).read_bytes() == (lib / name).read_bytes(), name
+
+
+def traced_ingest(tmp_path, k):
+    """Traced bytes of `_load_graph` at ``k`` and of the view built from its graph.
+
+    Returns ``(graph, load peak, graph + view, view-build peak)``, each
+    counted from the bytes traced before the load.
+    """
+    links = tmp_path / "links.txt"
+    config = GeneratorConfig(n_c=10, m=20, t_max=20, w=10, d=3, p=0.85, seed=5)
+    write_links(generate(config)[0], links)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tg = _load_graph(str(links), False, k)
+        graph, load_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        view = ModularityView.from_temporal_graph(tg)
+        both, view_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert view.nodes is tg.nodes
+    return graph - base, load_peak - base, both - base, view_peak - base
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_ingest_peak_stays_near_the_graph_it_keeps(tmp_path, k):
+    # Each distinct (label, bin) is held once while the links stream in, so
+    # the peak follows the vertices, not every line's strings and tuples.
+    graph, peak, _, _ = traced_ingest(tmp_path, k)
+    assert peak <= 2.5 * graph
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_view_build_peak_stays_near_graph_plus_view(tmp_path, k):
+    # The fold holds one dict per row and turns each into its tuple in turn,
+    # with no pair-keyed dict beside the adjacency.
+    _, _, both, peak = traced_ingest(tmp_path, k)
+    assert peak <= 1.2 * both
 
 
 def test_detect_strict_mode_rejects_future_targets(tmp_path, capsys):

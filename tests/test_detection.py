@@ -28,6 +28,7 @@ from dyncomm import (
     read_cover,
     write_cover,
 )
+from dyncomm.detection import _fold
 
 from conftest import barbell_graph, cover_of, random_raw_links, triangle_sides, two_pairs_graph
 
@@ -358,6 +359,48 @@ def test_modularity_matches_the_dense_formula(raw, isolated, labels):
         a[i][j] - k[i] * k[j] / two_m for i in range(n) for j in range(n) if c[i] == c[j]
     ) / two_m
     assert modularity(view, cover) == pytest.approx(dense, abs=1e-12)
+
+
+def reference_fold(k, triples):
+    """The pair-dict fold that `detection._fold` replaced, kept as its oracle."""
+    self_w = [0.0] * k
+    pair = {}
+    for i, j, w in triples:
+        if i == j:
+            self_w[i] += w
+        else:
+            key = (i, j) if i < j else (j, i)
+            pair[key] = pair.get(key, 0.0) + w
+    adj = [[] for _ in range(k)]
+    degree = [2.0 * w for w in self_w]
+    for (i, j), w in pair.items():
+        adj[i].append((j, w))
+        adj[j].append((i, w))
+        degree[i] += w
+        degree[j] += w
+    return adj, self_w, degree
+
+
+_weights = st.one_of(st.integers(1, 9), st.integers(1, 9).map(float))
+_triples = st.integers(1, 7).flatmap(
+    lambda k: st.tuples(
+        st.just(k),
+        st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), _weights), max_size=40),
+    )
+)
+
+
+@settings(max_examples=300)
+@given(_triples)
+def test_fold_matches_the_pair_dict_fold(case):
+    # Small id ranges repeat pairs both ways round, (i, i) triples are
+    # self-loops, and ids that no triple names get empty rows.
+    k, triples = case
+    adj, self_w, degree = _fold(k, triples)
+    ref_adj, ref_self_w, ref_degree = reference_fold(k, triples)
+    assert [list(row) for row in adj] == ref_adj
+    assert self_w == ref_self_w
+    assert degree == ref_degree
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

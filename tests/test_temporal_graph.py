@@ -17,6 +17,7 @@ from dyncomm import (
     parse_link_file,
     write_links,
 )
+from dyncomm.temporal_graph import _link_stream
 
 from conftest import random_raw_links
 
@@ -53,6 +54,26 @@ def test_parse_malformed_lines_report_line_number():
         parse_link_file(["A x B 1"])
     with pytest.raises(LinkParseError, match="non-negative"):
         parse_link_file(["A -1 B -2"])
+
+
+def test_parse_holds_each_endpoint_once():
+    lines = ["A 2 B 1", "A 2 B 1", "B 1 A 2", "C 5 A 3", "A 3 B 0", "C 4 C 4"]
+
+    def held_once(raw):
+        endpoints = [end for link in raw for end in link]
+        return len({id(end) for end in endpoints}) == len(set(endpoints))
+
+    raw = parse_link_file(lines, permissive=True)
+    assert raw == [
+        (("A", 2), ("B", 1)), (("A", 2), ("B", 1)), (("B", 1), ("A", 2)),
+        (("C", 5), ("A", 3)), (("A", 3), ("B", 0)), (("C", 4), ("C", 4)),
+    ]
+    assert held_once(raw)
+    binned = list(_link_stream(lines, True, 2))
+    assert binned == [((src, ts // 2), (dst, td // 2)) for (src, ts), (dst, td) in raw]
+    assert held_once(binned)
+    with pytest.raises(LinkParseError, match="line 3"):
+        parse_link_file(["A 2 B 1", "A 2 B 1", "A 2 B"])
 
 
 def test_build_counts_nodes_links_and_weight():

@@ -9,11 +9,14 @@ partition search for tiny ones (test oracle).
 from __future__ import annotations
 
 import random
+from array import array
 from collections import deque
+from itertools import accumulate, chain, repeat
+from operator import floordiv, itemgetter, mod, sub
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .temporal_graph import TemporalGraph, TemporalNode, _read_table, _write_table
+from .temporal_graph import TemporalGraph, TemporalNode, _decimal, _read_table, _write_table
 
 _EPS = 1e-12
 
@@ -79,29 +82,72 @@ class Cover(_CoverFields):
         return groups
 
 
+class _Rows(Sequence[tuple[tuple[int, float], ...]]):
+    """Adjacency rows held flat (compressed sparse rows), each sorted by target.
+
+    Row ``i`` is ``targets[offsets[i]:offsets[i + 1]]`` with the weights at
+    the same places.  ``rows[i]`` and iteration give the row's
+    ``(target, weight)`` pairs as a tuple.
+    """
+
+    __slots__ = ("offsets", "targets", "weights")
+
+    def __init__(self, offsets: array, targets: array, weights: array) -> None:
+        self.offsets = offsets
+        self.targets = targets
+        self.weights = weights
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i: int) -> tuple[tuple[int, float], ...]:  # type: ignore[override]
+        i = range(len(self))[i]  # a negative index counts from the end; IndexError past it
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return tuple(zip(self.targets[lo:hi], self.weights[lo:hi]))
+
+    def __iter__(self) -> Iterator[tuple[tuple[int, float], ...]]:
+        targets, weights = self.targets, self.weights
+        lo = 0
+        for hi in self.offsets[1:]:
+            yield tuple(zip(targets[lo:hi], weights[lo:hi]))
+            lo = hi
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Rows):
+            return NotImplemented
+        return (self.offsets, self.targets, self.weights) == (
+            other.offsets,
+            other.targets,
+            other.weights,
+        )
+
+    def per_entry(self, labels: Iterable[int]) -> Iterator[int]:
+        """Row ``i``'s label, ``labels[i]``, once for each of its entries, in step with ``targets``."""
+        return chain.from_iterable(map(repeat, labels, map(sub, self.offsets[1:], self.offsets)))
+
+
 class ModularityView(NamedTuple):
     """Undirected weighted view of a temporal graph.
 
-    ``adj[i]`` lists (neighbor, symmetrized weight) once per unordered
-    pair at both endpoints; self-loops live in ``self_weight``.  Weighted
-    degree counts a self-loop twice, so degrees sum to 2 * total_weight.
+    ``adj`` holds, at both endpoints, each unordered pair once with its
+    symmetrized weight, as flat rows sorted by neighbour (see `_Rows`);
+    ``adj[i]`` gives row ``i``'s ``(neighbor, weight)`` pairs.  Self-loops
+    live in ``self_weight``.  Weighted degree counts a self-loop twice, so
+    degrees sum to 2 * total_weight.
     """
 
     nodes: tuple[TemporalNode, ...]
-    adj: tuple[tuple[tuple[int, float], ...], ...]
+    adj: _Rows
     self_weight: tuple[float, ...]
     degree: tuple[float, ...]
     total_weight: float
 
     @classmethod
     def from_temporal_graph(cls, tg: TemporalGraph) -> "ModularityView":
-        index = {tn: i for i, tn in enumerate(tg.nodes)}
-        adj, self_w, degree = _fold(
-            len(tg.nodes), ((index[src], index[dst], w) for src, dst, w in tg.links)
-        )
+        adj, self_w, degree = _fold(len(tg.nodes), _link_triples(tg))
         return cls(
             nodes=tg.nodes,
-            adj=tuple(adj),
+            adj=adj,
             self_weight=tuple(self_w),
             degree=tuple(degree),
             total_weight=float(tg.total_weight),
@@ -133,55 +179,112 @@ def _modularity(view: ModularityView, comm: list[int]) -> float:
     return sum(2.0 * w / two_m - (d / two_m) ** 2 for w, d in zip(internal, tot))
 
 
+def _link_triples(tg: TemporalGraph) -> Callable[[], Iterator[tuple[int, int, int]]]:
+    """The links of ``tg`` as ``(source index, target index, weight)``, afresh at each call.
+
+    Each endpoint's node index is looked up once, and kept in an array.
+    """
+    index = dict(zip(tg.nodes, range(len(tg.nodes)))).__getitem__
+    links = tg.links
+    src = array("i", list(map(index, map(itemgetter(0), links))))
+    dst = array("i", list(map(index, map(itemgetter(1), links))))
+    return lambda: zip(src, dst, map(itemgetter(2), links))
+
+
 def _fold(
-    k: int, triples: Iterable[tuple[int, int, float]]
-) -> tuple[list[tuple[tuple[int, float], ...]], list[float], list[float]]:
+    k: int, triples: Callable[[], Iterable[tuple[int, int, float]]]
+) -> tuple[_Rows, list[float], list[float]]:
     """Fold weight triples ``(i, j, w)`` over ids ``0..k-1`` into ``(adj, self_weight, degree)``.
 
-    A triple with ``i == j`` is a self-loop.  Weights of one unordered pair
-    add up in one dict per row, at both ends, whichever way round they come;
-    each row lists its pairs in order of first appearance.  Rows become
-    tuples one at a time, so only one copy of each is held at once.  Degree
+    ``triples()`` gives the same triples each time it is called; a triple
+    with ``i == j`` is a self-loop.  The first pass counts each row's
+    half-edges and the second places them, at both ends.  Then each row is
+    sorted by target and the weights of one unordered pair are added up,
+    whichever way round they came, compacting the arrays in place.  Degree
     counts a self-loop twice.
     """
     self_w = [0.0] * k
-    rows: list[dict[int, float]] = [{} for _ in range(k)]
-    for i, j, w in triples:
+    count = [0] * k
+    for i, j, w in triples():
         if i == j:
             self_w[i] += w
         else:
-            row = rows[i]
-            row[j] = row.get(j, 0.0) + w
-            row = rows[j]
-            row[i] = row.get(i, 0.0) + w
-    adj: list[tuple[tuple[int, float], ...]] = []
+            count[i] += 1
+            count[j] += 1
+    offsets = array("q", accumulate(count, initial=0))
+    del count
+    free = offsets.tolist()  # the next free slot of each row
+    n = offsets[-1]
+    targets = array("i", [0]) * n
+    weights = array("d", [0.0]) * n
+    for i, j, w in triples():
+        if i != j:
+            at = free[i]
+            targets[at] = j
+            weights[at] = w
+            free[i] = at + 1
+            at = free[j]
+            targets[at] = i
+            weights[at] = w
+            free[j] = at + 1
+    del free, triples  # the callable may hold arrays of its own
     degree: list[float] = []
-    rows.reverse()  # pop each row's dict in order and drop it once its tuple exists
-    for w in self_w:
-        row = rows.pop()
-        adj.append(tuple(row.items()))
-        degree.append(sum(row.values(), 2.0 * w))
-    return adj, self_w, degree
+    append = degree.append
+    end = 0
+    lo = 0
+    for i, (s, hi) in enumerate(zip(self_w, offsets[1:])):
+        offsets[i] = end
+        d = 2.0 * s
+        last = -1
+        for j, w in sorted(zip(targets[lo:hi], weights[lo:hi])):
+            d += w
+            if j == last:
+                weights[end - 1] += w
+            else:
+                targets[end] = j
+                weights[end] = w
+                end += 1
+                last = j
+        append(d)
+        lo = hi
+    offsets[k] = end
+    del targets[end:], weights[end:]
+    return _Rows(offsets, targets, weights), self_w, degree
 
 
 def _fold_by(
-    adj: Sequence[Iterable[tuple[int, float]]], self_w: Sequence[float], comm: list[int]
-) -> tuple[list[tuple[tuple[int, float], ...]], list[float], list[float]]:
-    """`_fold` of a level's self-loops and pairs, each end relabelled by ``comm``."""
+    adj: _Rows, self_w: Sequence[float], comm: list[int]
+) -> tuple[_Rows, list[float], list[float]]:
+    """`_fold` of a level's self-loops and pairs, each end relabelled by ``comm``.
 
-    def triples() -> Iterator[tuple[int, int, float]]:
-        for i, neighbors in enumerate(adj):
-            ci = comm[i]
-            yield ci, ci, self_w[i]
-            for j, w in neighbors:
-                if j > i:
-                    yield ci, comm[j], w
-
-    return _fold(max(comm) + 1, triples())
+    The weights of the pairs that join two communities are summed per pair
+    of communities first, so `_fold` lays out one triple for each.
+    """
+    k = max(comm) + 1
+    loops = [0.0] * k
+    for ci, s in zip(comm, self_w):
+        loops[ci] += s
+    between: dict[int, float] = {}  # keyed c * k + d, with c < d
+    entries = zip(adj.per_entry(range(len(comm))), adj.per_entry(comm), adj.targets, adj.weights)
+    for i, ci, j, w in entries:
+        if j > i:  # each pair once
+            cj = comm[j]
+            if ci == cj:
+                loops[ci] += w
+            else:
+                key = ci * k + cj if ci < cj else cj * k + ci
+                between[key] = between.get(key, 0.0) + w
+    return _fold(
+        k,
+        lambda: chain(
+            zip(range(k), range(k), loops),
+            zip(map(floordiv, between, repeat(k)), map(mod, between, repeat(k)), between.values()),
+        ),
+    )
 
 
 def _one_level(
-    adj: Sequence[Iterable[tuple[int, float]]],
+    adj: _Rows,
     degree: Sequence[float],
     two_m: float,
     rng: random.Random,
@@ -190,43 +293,56 @@ def _one_level(
 
     Nodes come off a FIFO queue that starts as a seeded shuffle.  A node that
     moves queues its unqueued neighbours outside its new community, in index
-    order.  A level without a move returns the identity membership.
+    order.  A level without a move returns the identity membership.  The
+    popped node's weight to each community adds up in one flat list, which
+    is zeroed again at the communities it touched.
     """
     n = len(adj)
-    adj = [sorted(row) for row in adj]
+    offsets, targets, weights = adj.offsets.tolist(), adj.targets, adj.weights
+    eps = _EPS
     comm = list(range(n))
     tot = list(degree)
+    w_to = [0.0] * n  # weight from the popped node to each community, reset after each pop
     queue = deque(rng.sample(range(n), n))
     queued = [True] * n
     while queue:
         i = queue.popleft()
         queued[i] = False
         ci = comm[i]
-        w_to: dict[int, float] = {}
-        for j, w in adj[i]:
-            cj = comm[j]
-            w_to[cj] = w_to.get(cj, 0.0) + w
-        tot[ci] -= degree[i]
         ki = degree[i]
+        lo = offsets[i]
+        hi = offsets[i + 1]
+        row = targets[lo:hi]
+        near = []
+        for j, w in zip(row, weights[lo:hi]):
+            cj = comm[j]
+            a = w_to[cj]
+            if not a:  # weights are positive, so a community's first link leaves it non-zero
+                near.append(cj)
+            w_to[cj] = a + w
+        tot[ci] -= ki
         # Gains relative to i sitting alone; candidates are the
         # neighboring communities plus the one it came from.  Ties go
         # to the smallest community id, and staying put wins ties.
         best_c = ci
-        best_gain = w_to.get(ci, 0.0) - tot[ci] * ki / two_m
-        for c in sorted(w_to):
+        best_gain = w_to[ci] - tot[ci] * ki / two_m
+        near.sort()
+        for c in near:
             gain = w_to[c] - tot[c] * ki / two_m
-            if gain > best_gain + _EPS:
+            if gain > best_gain + eps:
                 best_c = c
                 best_gain = gain
-        if best_gain < -_EPS:
+            w_to[c] = 0.0
+        if best_gain < -eps:
             # Every candidate hurts: detach into a fresh community
             # (gain 0), which strictly improves Q over staying.
             best_c = len(tot)
             tot.append(0.0)
+            w_to.append(0.0)
         comm[i] = best_c
-        tot[best_c] += degree[i]
+        tot[best_c] += ki
         if best_c != ci:
-            for j, _ in adj[i]:
+            for j in row:
                 if not queued[j] and comm[j] != best_c:
                     queued[j] = True
                     queue.append(j)
@@ -261,8 +377,13 @@ def louvain(view: ModularityView, seed: int = 0) -> Cover:
         if len(set(dense)) == len(dense):
             break
         adj, self_w, degree = _fold_by(adj, self_w, dense)
-    inside = [[j for j, _ in row if assign[j] == assign[i]] for i, row in enumerate(view.adj)]
-    return _cover(view, _split(inside))
+    offsets, targets = view.adj.offsets, view.adj.targets
+
+    def inside(i: int) -> list[int]:
+        a = assign[i]
+        return [j for j in targets[offsets[i] : offsets[i + 1]] if assign[j] == a]
+
+    return _cover(view, _split(view.n_nodes, inside))
 
 
 def _cover(view: ModularityView, comm: list[int]) -> Cover:
@@ -270,16 +391,16 @@ def _cover(view: ModularityView, comm: list[int]) -> Cover:
     return Cover.from_assignment(dict(zip(view.nodes, comm)))
 
 
-def _split(adj: Sequence[Iterable[int]]) -> list[int]:
-    """The connected-component id of each node, components numbered by their smallest node."""
-    comp = [-1] * len(adj)
+def _split(n: int, neighbors: Callable[[int], Iterable[int]]) -> list[int]:
+    """The connected-component id of nodes ``0..n-1``, components numbered by their smallest node."""
+    comp = [-1] * n
     n_comps = 0
-    for start in range(len(adj)):
+    for start in range(n):
         if comp[start] < 0:
             comp[start] = n_comps
             stack = [start]
             while stack:
-                for v in adj[stack.pop()]:
+                for v in neighbors(stack.pop()):
                     if comp[v] < 0:
                         comp[v] = n_comps
                         stack.append(v)
@@ -342,8 +463,9 @@ def girvan_newman(view: ModularityView) -> Cover:
         )
     if view.total_weight <= 0:
         raise UndefinedModularityError("girvan-newman undefined: graph has no edges")
-    adj = [{j for j, _ in row} for row in view.adj]
-    best = _split(adj)
+    offsets, targets = view.adj.offsets, view.adj.targets
+    adj = [set(targets[offsets[i] : offsets[i + 1]]) for i in range(view.n_nodes)]
+    best = _split(view.n_nodes, adj.__getitem__)
     best_q = _modularity(view, best)
     bw = _edge_betweenness(adj, range(view.n_nodes))
     while bw:
@@ -361,7 +483,7 @@ def girvan_newman(view: ModularityView) -> Cover:
         adj[u].discard(v)
         adj[v].discard(u)
         # Only the component that contained (u, v) changes.
-        comm = _split(adj)
+        comm = _split(view.n_nodes, adj.__getitem__)
         stale = {comm[u], comm[v]}
         for edge in [e for e in bw if comm[e[0]] in stale]:
             del bw[edge]
@@ -423,10 +545,10 @@ def read_cover(source: IO[str] | str | Path) -> tuple[Cover, bool]:
     raw: dict[TemporalNode, int] = {}
 
     def add_row(row: list[str]) -> None:
-        tn = TemporalNode(row[0], int(row[1]))
+        tn = TemporalNode(row[0], _decimal(row[1]))
         if tn in raw:
             raise ValueError(f"duplicate cover row for ({tn.node},{tn.t})")
-        raw[tn] = int(row[2])
+        raw[tn] = _decimal(row[2])
 
     _read_table(source, "cover", COVER_HEADER, add_row)
     ids = sorted(set(raw.values()))

@@ -14,7 +14,7 @@ import random
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple
 
-from .temporal_graph import SWEEPABLE_PARAMETERS, ConfigError, RawLink, _opened
+from .temporal_graph import SWEEPABLE_PARAMETERS, ConfigError, RawLink, _decimal, _opened
 
 PlantedAssignment = dict[str, int]
 
@@ -210,7 +210,7 @@ def read_assignment(source: Iterable[str] | str | Path) -> PlantedAssignment:
             if label in assignment:
                 raise ValueError(f"line {lineno}: duplicate label {label!r}")
             try:
-                assignment[label] = int(fields[1])
+                assignment[label] = _decimal(fields[1])
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
     return assignment

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import IO, Hashable, Iterable, Mapping, NamedTuple
 
 from .detection import Cover
-from .temporal_graph import TemporalGraph, TemporalNode, _read_table, _write_table
+from .temporal_graph import TemporalGraph, TemporalNode, _decimal, _read_table, _write_table
 
 COMMUNITY_HEADER = ["community", "z", "temporal_size", "NA", "SC", "HI", "internal_links"]
 NODE_HEADER = ["node", "lifetime", "membership", "CM", "CT"]
@@ -167,13 +167,13 @@ def read_community_csv(source: IO[str] | str | Path) -> list[CommunityReport]:
 
     def add_row(row: list[str]) -> None:
         report = CommunityReport(
-            community=int(row[0]),
-            z=int(row[1]),
-            temporal_size=int(row[2]),
+            community=_decimal(row[0]),
+            z=_decimal(row[1]),
+            temporal_size=_decimal(row[2]),
             na=float(row[3]),
             sc=float(row[4]),
             hi=float(row[5]),
-            internal_links=int(row[6]),
+            internal_links=_decimal(row[6]),
         )
         for name, value in zip(COMMUNITY_HEADER[3:6], (report.na, report.sc, report.hi)):
             if not math.isfinite(value):

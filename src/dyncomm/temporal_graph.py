@@ -60,6 +60,23 @@ class TemporalGraph(NamedTuple):
         return sum(link.weight for link in self.links)
 
 
+def _decimal(text: str) -> int:
+    """The integer that ``text`` writes in ASCII digits, after at most a ``-``.
+
+    ``int`` also reads a ``+``, spaces around the digits, ``_`` between them,
+    the digits of other scripts and ``-0``.  The package writes none of
+    these, so a number in such a form is a ValueError here rather than a
+    different number's twin.
+    """
+    if text.isascii() and text.isdigit():
+        return int(text)
+    digits = text[1:]
+    if text[:1] == "-" and digits.isascii() and digits.isdigit() and digits.strip("0"):
+        return int(text)
+    int(text)  # int's own message for what is no integer at all
+    raise ValueError(f"{text!r} is not an integer in plain ASCII digits")
+
+
 def _link_stream(lines: Iterable[str], permissive: bool, k: int) -> Iterator[RawLink]:
     """Yield the raw links of ``lines`` one at a time, their times binned by ``t // k``.
 
@@ -80,13 +97,22 @@ def _link_stream(lines: Iterable[str], permissive: bool, k: int) -> Iterator[Raw
                 f"line {lineno}: expected 4 whitespace-separated fields, got {len(fields)}"
             )
         src_label, src_time_s, dst_label, dst_time_s = fields
-        try:
-            src_time = int(src_time_s)
-            dst_time = int(dst_time_s)
-        except ValueError:
-            raise LinkParseError(f"line {lineno}: times must be integers") from None
-        if src_time < 0 or dst_time < 0:
+        # Plain non-negative times, checked by string methods alone on this hot
+        # path; `_decimal` tells the other faults apart.
+        if not (
+            src_time_s.isascii()
+            and src_time_s.isdigit()
+            and dst_time_s.isascii()
+            and dst_time_s.isdigit()
+        ):
+            try:
+                _decimal(src_time_s)
+                _decimal(dst_time_s)
+            except ValueError:
+                raise LinkParseError(f"line {lineno}: times must be integers") from None
             raise LinkParseError(f"line {lineno}: times must be non-negative")
+        src_time = int(src_time_s)
+        dst_time = int(dst_time_s)
         if not permissive and dst_time > src_time:
             raise LinkValidationError(
                 f"line {lineno}: target newer than source: "

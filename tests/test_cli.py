@@ -4,6 +4,7 @@ import csv
 import gc
 import json
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -111,8 +112,8 @@ def test_coarsened_commands_match_library_coarsen_time(tmp_path):
 def traced_ingest(tmp_path, k):
     """Traced bytes of `_load_graph` at ``k`` and of the view built from its graph.
 
-    Returns ``(graph, load peak, graph + view, view-build peak)``, each
-    counted from the bytes traced before the load.
+    Returns ``(graph, load peak, graph + view, view-build peak, view)``, the
+    bytes each counted from the bytes traced before the load.
     """
     links = tmp_path / "links.txt"
     config = GeneratorConfig(n_c=10, m=20, t_max=20, w=10, d=3, p=0.85, seed=5)
@@ -130,23 +131,51 @@ def traced_ingest(tmp_path, k):
     finally:
         tracemalloc.stop()
     assert view.nodes is tg.nodes
-    return graph - base, load_peak - base, both - base, view_peak - base
+    return graph - base, load_peak - base, both - base, view_peak - base, view
 
 
 @pytest.mark.parametrize("k", [1, 5])
 def test_ingest_peak_stays_near_the_graph_it_keeps(tmp_path, k):
     # Each distinct (label, bin) is held once while the links stream in, so
     # the peak follows the vertices, not every line's strings and tuples.
-    graph, peak, _, _ = traced_ingest(tmp_path, k)
+    graph, peak, _, _, _ = traced_ingest(tmp_path, k)
     assert peak <= 2.5 * graph
 
 
 @pytest.mark.parametrize("k", [1, 5])
 def test_view_build_peak_stays_near_graph_plus_view(tmp_path, k):
-    # The fold holds one dict per row and turns each into its tuple in turn,
-    # with no pair-keyed dict beside the adjacency.
-    _, _, both, peak = traced_ingest(tmp_path, k)
+    # The fold counts each row's half-edges before it places them, so it
+    # holds no per-row or per-pair objects beside the flat rows.
+    _, _, both, peak, _ = traced_ingest(tmp_path, k)
     assert peak <= 1.2 * both
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_view_holds_its_adjacency_in_flat_arrays(tmp_path, k):
+    # Flat rows take 12 bytes per half-edge and 8 per node; rows of
+    # (neighbour, weight) tuples took about 90 bytes per half-edge.
+    view = traced_ingest(tmp_path, k)[4]
+    adj = view.adj
+    half_edges = sum(len(row) for row in adj)
+    assert adj.offsets[-1] == len(adj.targets) == len(adj.weights) == half_edges > 0
+    held = sum(sys.getsizeof(part) for part in (adj.offsets, adj.targets, adj.weights))
+    assert held <= 16 * half_edges + 16 * view.n_nodes
+
+
+def test_louvain_peak_stays_below_the_graph(tmp_path):
+    # Louvain reads the view's rows in place, with no sorted copy of them
+    # per level and no per-pair objects.
+    graph, _, _, _, view = traced_ingest(tmp_path, 1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        louvain(view, seed=42)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * graph
 
 
 def test_detect_strict_mode_rejects_future_targets(tmp_path, capsys):
@@ -905,6 +934,17 @@ def cfg(**overrides):
          "argument --jobs: must be a positive integer"),
         (["repair", "links.txt", "cover.csv", "r.csv", "--min-overlap", "x"], {}, 1, USAGE,
          "argument --min-overlap: must be a positive integer"),
+        # `_decimal`: numbers that int() reads but the package never writes
+        (["detect", "bad.txt", "c.csv", "--permissive"], {"bad.txt": "a \u0663 b 1_0\nb +2 a -0\n"}, 2,
+         DATA, "line 1: times must be integers"),
+        (["detect", "bad.txt", "c.csv", "--permissive"], {"bad.txt": "a 2 b 1\nb +2 a -0\n"}, 2, DATA,
+         "line 2: times must be integers"),
+        (["metrics", "links.txt", "bad.csv"], {"bad.csv": COVER.replace("b,1,", "b,+1,")}, 2, DATA,
+         "line 3: '+1' is not an integer in plain ASCII digits"),
+        (["repair", "links.txt", "bad.csv", "r.csv"], {"bad.csv": COVER.replace("a,2,0", "a,2,1_0")}, 2, DATA,
+         "line 2: '1_0' is not an integer in plain ASCII digits"),
+        (["profile", "bad.csv", "p.svg"], {"bad.csv": COMMUNITIES + "0,\uff11,1,0,0,1,0\n"}, 2, DATA,
+         "line 2: '\uff11' is not an integer in plain ASCII digits"),
     ],
 )
 def test_every_reachable_error_exits_cleanly(tmp_path, monkeypatch, capsys, argv, files, code, prefix, message):

@@ -28,7 +28,7 @@ from dyncomm import (
     read_cover,
     write_cover,
 )
-from dyncomm.detection import _fold
+from dyncomm.detection import _densify, _fold, _fold_by
 
 from conftest import barbell_graph, cover_of, random_raw_links, triangle_sides, two_pairs_graph
 
@@ -362,7 +362,7 @@ def test_modularity_matches_the_dense_formula(raw, isolated, labels):
 
 
 def reference_fold(k, triples):
-    """The pair-dict fold that `detection._fold` replaced, kept as its oracle."""
+    """The pair-dict fold that an earlier `detection._fold` replaced, kept as its oracle."""
     self_w = [0.0] * k
     pair = {}
     for i, j, w in triples:
@@ -381,6 +381,21 @@ def reference_fold(k, triples):
     return adj, self_w, degree
 
 
+def tuple_row_fold(k, triples):
+    """The dict-per-row fold into tuple rows that the flat `detection._fold` replaced, a second oracle."""
+    self_w = [0.0] * k
+    rows = [{} for _ in range(k)]
+    for i, j, w in triples:
+        if i == j:
+            self_w[i] += w
+        else:
+            rows[i][j] = rows[i].get(j, 0.0) + w
+            rows[j][i] = rows[j].get(i, 0.0) + w
+    adj = [tuple(row.items()) for row in rows]
+    degree = [sum(row.values(), 2.0 * w) for row, w in zip(rows, self_w)]
+    return adj, self_w, degree
+
+
 _weights = st.one_of(st.integers(1, 9), st.integers(1, 9).map(float))
 _triples = st.integers(1, 7).flatmap(
     lambda k: st.tuples(
@@ -394,28 +409,61 @@ _triples = st.integers(1, 7).flatmap(
 @given(_triples)
 def test_fold_matches_the_pair_dict_fold(case):
     # Small id ranges repeat pairs both ways round, (i, i) triples are
-    # self-loops, and ids that no triple names get empty rows.
+    # self-loops, and ids that no triple names get empty rows.  Weights are
+    # whole numbers, so every sum is exact in any order.
     k, triples = case
-    adj, self_w, degree = _fold(k, triples)
-    ref_adj, ref_self_w, ref_degree = reference_fold(k, triples)
-    assert [list(row) for row in adj] == ref_adj
-    assert self_w == ref_self_w
-    assert degree == ref_degree
+    adj, self_w, degree = _fold(k, lambda: iter(triples))
+    assert adj.offsets[-1] == len(adj.targets) == len(adj.weights)
+    rows = [list(row) for row in adj]
+    for oracle in (reference_fold, tuple_row_fold):
+        ref_adj, ref_self_w, ref_degree = oracle(k, triples)
+        assert rows == [sorted(row) for row in ref_adj]
+        assert self_w == ref_self_w
+        assert degree == ref_degree
+
+
+@settings(max_examples=200)
+@given(_triples, st.data())
+def test_fold_by_matches_the_fold_of_the_relabelled_triples(case, data):
+    k, triples = case
+    adj, self_w, _ = _fold(k, lambda: iter(triples))
+    comm = _densify(data.draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k)))
+    folded, folded_self_w, folded_degree = _fold_by(adj, self_w, comm)
+    ref_adj, ref_self_w, ref_degree = reference_fold(max(comm) + 1, [(comm[i], comm[j], w) for i, j, w in triples])
+    assert [list(row) for row in folded] == [sorted(row) for row in ref_adj]
+    assert folded_self_w == ref_self_w
+    assert folded_degree == ref_degree
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_louvain_ignores_adjacency_order(monkeypatch, seed):
+    # Rows are sorted by target whatever order the links come in, so the
+    # graph with its links reversed gives an equal view, row by row, and
+    # the same cover, through two aggregated levels.
     import dyncomm.detection as detection
 
     folds = []
     fold_by = detection._fold_by
     monkeypatch.setattr(detection, "_fold_by", lambda *args: folds.append(1) or fold_by(*args))
     cfg = GeneratorConfig(n_c=4, m=6, t_max=12, w=10, d=3, p=0.8, seed=seed)
-    view = ModularityView.from_temporal_graph(build_temporal_graph(generate(cfg)[0]))
+    tg = build_temporal_graph(generate(cfg)[0])
+    view = ModularityView.from_temporal_graph(tg)
+    reversed_view = ModularityView.from_temporal_graph(tg._replace(links=tg.links[::-1]))
+    assert list(reversed_view.adj) == list(view.adj)
+    assert reversed_view == view
     cover = louvain(view, seed=seed)
     assert len(folds) >= 2  # two levels aggregated, each from the level before
-    reversed_view = view._replace(adj=tuple(row[::-1] for row in view.adj))
-    assert louvain(reversed_view, seed=seed).assignment == cover.assignment
+    assert list(louvain(reversed_view, seed=seed).assignment.items()) == list(cover.assignment.items())
+
+
+def test_view_rows_read_as_pairs():
+    view = ModularityView.from_temporal_graph(barbell_graph())
+    assert len(view.adj) == view.n_nodes == 6
+    assert view.adj[0] == ((1, 1.0), (2, 1.0), (3, 1.0))  # a1: a2, a3 and the bridge to b1
+    assert view.adj[-1] == view.adj[5] == ((3, 1.0), (4, 1.0))
+    assert list(view.adj)[0] == view.adj[0]
+    with pytest.raises(IndexError):
+        view.adj[6]
 
 
 def test_cover_requires_contiguous_ids():

@@ -17,7 +17,7 @@ from dyncomm import (
     parse_link_file,
     write_links,
 )
-from dyncomm.temporal_graph import _link_stream
+from dyncomm.temporal_graph import _decimal, _link_stream
 
 from conftest import random_raw_links
 
@@ -258,3 +258,55 @@ def test_written_links_read_back_or_are_rejected(links):
     except LinkValidationError:
         return
     assert parse_link_file(buffer.getvalue().splitlines(), permissive=True) == links
+
+
+_labels = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=5).filter(
+    lambda label: label.split() == [label] and not label.startswith("#")
+)
+_stamped = st.tuples(_labels, st.integers(0, 10**18))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(_stamped, _stamped), max_size=8))
+def test_links_round_trip_through_the_link_format(links):
+    # Any label `write_links` accepts and any non-negative time, however large.
+    buffer = io.StringIO()
+    write_links(links, buffer)
+    assert parse_link_file(io.StringIO(buffer.getvalue(), newline=""), permissive=True) == links
+
+
+def _lax_forms(n):
+    """Spellings of ``n`` that `int` reads but the package never writes."""
+    digits = str(n)
+    return [
+        f"+{digits}",
+        f" {digits}",
+        f"{digits}_0",
+        "".join(chr(0x0660 + int(d)) for d in digits),  # Arabic-Indic digits
+        "".join(chr(0xFF10 + int(d)) for d in digits),  # fullwidth digits
+    ]
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 10**6))
+def test_numbers_read_only_in_plain_ascii_digits(n):
+    assert _decimal(str(n)) == n
+    if n:
+        assert _decimal(f"-{n}") == -n
+    for text in _lax_forms(n) + ["-0" * (n == 0)]:
+        if text:
+            int(text)  # Python reads every one of them
+            with pytest.raises(ValueError, match="not an integer in plain ASCII digits"):
+                _decimal(text)
+    for text in _lax_forms(n)[::2]:  # the forms without a space, which splits a link line
+        with pytest.raises(LinkParseError, match="^line 1: times must be integers$"):
+            parse_link_file([f"a {text} b 0"], permissive=True)
+
+
+def test_link_times_that_int_would_rewrite_fail_on_their_line():
+    # With int(), these two lines parsed as a 3 -> b 10 and b 2 -> a 0.
+    for line in ["a ٣ b 1_0", "b +2 a -0"]:
+        with pytest.raises(LinkParseError, match="^line 2: times must be integers$"):
+            parse_link_file(["a 1 b 0", line], permissive=True)
+    with pytest.raises(LinkParseError, match="^line 1: times must be non-negative$"):
+        parse_link_file(["a 1 b -1"])

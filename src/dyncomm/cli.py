@@ -29,6 +29,7 @@ from .temporal_graph import (
     SWEEPABLE_PARAMETERS,
     ConfigError,
     TemporalGraph,
+    _decimal,
     _link_stream,
     _opened,
     _write_table,
@@ -64,9 +65,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _integer(text: str) -> int:
+    try:
+        return _decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        value = _decimal(text)
     except ValueError:
         value = 0  # rejected below, in the same words
     if value < 1:
@@ -264,7 +272,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = GeneratorConfig.from_json_file(args.config)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+        seeds = [_decimal(s.strip()) for s in args.seeds.split(",") if s.strip()]
     except ValueError:
         raise ConfigError("--values takes floats and --seeds integers, comma-separated") from None
     if not values:
@@ -272,18 +280,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not seeds:
         raise ConfigError("--seeds must list at least one seed")
     outdir = Path(args.outdir)
-    # Every cell is built, and checked, before anything is written.
-    first_cell: dict[str, tuple[float, int]] = {}
+    # Every cell is built, and checked, before anything is written.  Two cells
+    # with one tag name one links file, which `_outputs` rejects.
     jobs = []
     for value in values:
         for seed in seeds:
             tag = f"{args.param}{value:g}_s{seed}"
-            if tag in first_cell:  # the two cells would overwrite each other's files
-                raise ConfigError(
-                    f"cells (value {first_cell[tag][0]!r}, seed {first_cell[tag][1]}) and "
-                    f"(value {value!r}, seed {seed}) would both write files tagged {tag}"
-                )
-            first_cell[tag] = (value, seed)
             names = (f"links_{tag}.txt", f"assignment_{tag}.txt", f"cover_{tag}.csv")
             config = cell_config(base, args.param, value, seed)
             jobs.append((config, value, seed, [outdir / name for name in names]))
@@ -337,7 +339,7 @@ def build_parser() -> _Parser:
 
     p_det = sub.add_parser("detect", parents=[graph], help="detect temporal communities")
     p_det.add_argument("out", help="output cover CSV")
-    p_det.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_det.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
     p_det.add_argument("--algo", choices=("louvain", "gn"), default="louvain")
     p_det.set_defaults(func=cmd_detect)
 

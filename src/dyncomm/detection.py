@@ -76,6 +76,7 @@ class Cover(_CoverFields):
         raise CoverMismatchError(f"cover and link data disagree on temporal node ({node},{t})")
 
     def communities(self) -> list[list[TemporalNode]]:
+        """The temporal nodes of each community, indexed by community id."""
         groups: list[list[TemporalNode]] = [[] for _ in range(self.n_communities)]
         for tn, cid in self.assignment.items():
             groups[cid].append(tn)

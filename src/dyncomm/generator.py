@@ -14,7 +14,14 @@ import random
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple
 
-from .temporal_graph import SWEEPABLE_PARAMETERS, ConfigError, RawLink, _decimal, _opened
+from .temporal_graph import (
+    SWEEPABLE_PARAMETERS,
+    ConfigError,
+    RawLink,
+    _check_labels,
+    _decimal,
+    _opened,
+)
 
 PlantedAssignment = dict[str, int]
 
@@ -114,7 +121,9 @@ class GeneratorConfig(_GeneratorConfigFields):
         with _opened(path) as handle:
             try:
                 data = json.load(handle)
-            except json.JSONDecodeError as exc:
+            except UnicodeDecodeError:
+                raise  # `_opened` names its line
+            except ValueError as exc:  # bad JSON, or an integer with more digits than int() reads
                 raise ConfigError(f"invalid config JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config JSON must be an object")
@@ -189,7 +198,12 @@ def cell_config(
 
 
 def write_assignment(assignment: PlantedAssignment, out: IO[str] | str | Path) -> None:
-    """Write the `label community_index` sidecar, one node per line."""
+    """Write the `label community_index` sidecar, one node per line.
+
+    Raises LinkValidationError, before writing anything, for a label that
+    `read_assignment` could not read back (see `temporal_graph._check_labels`).
+    """
+    _check_labels(assignment)
     with _opened(out, "w") as handle:
         for label, community in assignment.items():
             handle.write(f"{label} {community}\n")

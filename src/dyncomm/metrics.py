@@ -78,9 +78,7 @@ def community_reports(cover: Cover, tg: TemporalGraph) -> list[CommunityReport]:
     being node i's share of internal out-link weight, from [1/z, 1] to
     [0, 1]; it is 1 by convention when z = 1 or without internal links.
     """
-    members: list[list[TemporalNode]] = [[] for _ in range(cover.n_communities)]
-    for tn, cid in zip(tg.nodes, cover.membership(tg.nodes)):
-        members[cid].append(tn)
+    cover.membership(tg.nodes)  # the cover must hold exactly the graph's nodes
     internal = [0] * cover.n_communities
     selfs = [0] * cover.n_communities
     out_weight: list[Counter] = [Counter() for _ in range(cover.n_communities)]
@@ -93,8 +91,7 @@ def community_reports(cover: Cover, tg: TemporalGraph) -> list[CommunityReport]:
         if link.source.node == link.target.node:
             selfs[ca] += link.weight
     reports = []
-    for cid in range(cover.n_communities):
-        group = members[cid]
+    for cid, group in enumerate(cover.communities()):
         z = len(set(tn.node for tn in group))
         size = len(group)
         total = internal[cid]

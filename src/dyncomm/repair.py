@@ -7,7 +7,6 @@ fragments into physically-cohesive clusters.
 
 from __future__ import annotations
 
-from collections import Counter
 from heapq import heappop, heappush
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
@@ -46,10 +45,9 @@ def repair(
     if min_overlap < 1:
         raise ValueError("min_overlap must be >= 1")
     cids = cover.membership(tg.nodes)
-    phys: dict[int, set[str]] = {c: set() for c in range(cover.n_communities)}
-    for tn, cid in zip(tg.nodes, cids):
-        phys[cid].add(tn.node)
-    size = Counter(cids)
+    groups = cover.communities()
+    phys = {cid: {tn.node for tn in group} for cid, group in enumerate(groups)}
+    size = {cid: len(group) for cid, group in enumerate(groups)}
     holders: dict[str, list[int]] = {}
     for cid, labels in phys.items():
         for label in labels:

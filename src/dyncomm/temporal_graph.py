@@ -111,8 +111,11 @@ def _link_stream(lines: Iterable[str], permissive: bool, k: int) -> Iterator[Raw
             except ValueError:
                 raise LinkParseError(f"line {lineno}: times must be integers") from None
             raise LinkParseError(f"line {lineno}: times must be non-negative")
-        src_time = int(src_time_s)
-        dst_time = int(dst_time_s)
+        try:
+            src_time = int(src_time_s)
+            dst_time = int(dst_time_s)
+        except ValueError as exc:  # more digits than int() reads
+            raise LinkParseError(f"line {lineno}: {exc}") from None
         if not permissive and dst_time > src_time:
             raise LinkValidationError(
                 f"line {lineno}: target newer than source: "
@@ -196,21 +199,26 @@ def _read_table(
             raise ValueError(f"line {max(reader.line_num, 1)}: {exc}") from None
 
 
-def write_links(links: Iterable[RawLink], out: IO[str] | str | Path) -> None:
-    """Write raw links in the four-field link file format, one per line.
-
-    Raises LinkValidationError, before writing anything, for a label that
-    `parse_link_file` could not read back: empty, containing whitespace, or
-    starting with ``#``.
+def _check_labels(labels: Iterable[str]) -> None:
+    """Raise LinkValidationError for a label that a whitespace-separated line
+    could not read back: empty, containing whitespace, or starting with ``#``.
     """
-    links = list(links)
-    labels = {src for (src, _), _ in links} | {dst for _, (dst, _) in links}
     bad = sorted(label for label in labels if label.split() != [label] or label.startswith("#"))
     if bad:
         raise LinkValidationError(
             f"label {bad[0]!r} would not read back: labels must be non-empty, "
             "without whitespace, and not start with '#'"
         )
+
+
+def write_links(links: Iterable[RawLink], out: IO[str] | str | Path) -> None:
+    """Write raw links in the four-field link file format, one per line.
+
+    Raises LinkValidationError, before writing anything, for a label that
+    `parse_link_file` could not read back (see `_check_labels`).
+    """
+    links = list(links)
+    _check_labels({src for (src, _), _ in links} | {dst for _, (dst, _) in links})
     text = "".join([f"{src} {ts} {dst} {td}\n" for (src, ts), (dst, td) in links])
     with _opened(out, "w") as handle:
         handle.write(text)

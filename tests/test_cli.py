@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import gc
+import io
 import json
 import re
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dyncomm import (
     GeneratorConfig,
@@ -25,7 +30,7 @@ from dyncomm import (
     write_node_csv,
 )
 from dyncomm.cli import _load_graph, main, render_profile_svg
-from dyncomm.metrics import CommunityReport
+from dyncomm.metrics import COMMUNITY_HEADER, CommunityReport
 
 BASE_CONFIG = {"n_c": 4, "m": 5, "t_max": 20, "w": 10, "d": 3, "p": 1.0, "seed": 13}
 
@@ -524,7 +529,9 @@ def test_sweep_rejects_cells_that_share_a_file_tag(tmp_path, capsys, values, see
     args = ["sweep", str(config), str(outdir), "--param", "p", "--values", values, "--seeds", seeds]
     assert main(args) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and "would both write files tagged" in err
+    # The first two cells that share a tag name one links file.
+    links = re.escape(str(outdir / "links_p"))
+    assert re.search(rf"^usage error: output ({links}\S+) and output \1 name the same file$", err, re.M)
     assert "Traceback" not in err
     assert not outdir.exists()
 
@@ -872,7 +879,8 @@ def cfg(**overrides):
         (SWEEP + ["--values", "0.5", "--seeds", "1.5"], {}, 1, CONFIG, "--seeds integers"),
         (SWEEP + ["--values", ",", "--seeds", "1"], {}, 1, CONFIG, "--values must list at least one"),
         (SWEEP + ["--values", "0.5", "--seeds", ""], {}, 1, CONFIG, "--seeds must list at least one"),
-        (SWEEP + ["--values", "0.5,0.50", "--seeds", "1"], {}, 1, CONFIG, "would both write files"),
+        (SWEEP + ["--values", "0.5,0.50", "--seeds", "1"], {}, 1, "usage error: ",
+         "output out/links_p0.5_s1.txt and output out/links_p0.5_s1.txt name the same file"),
         (SWEEP + ["--values", "0.5,-0.5", "--seeds", "1"], {}, 1, CONFIG, "p must lie in [0, 1]"),
         (["sweep", "bad.json", "out", "--param", "d", "--values", "2", "--seeds", "1"], cfg(w=0), 1,
          CONFIG, "window w must be positive"),
@@ -945,6 +953,21 @@ def cfg(**overrides):
          "line 2: '1_0' is not an integer in plain ASCII digits"),
         (["profile", "bad.csv", "p.svg"], {"bad.csv": COMMUNITIES + "0,\uff11,1,0,0,1,0\n"}, 2, DATA,
          "line 2: '\uff11' is not an integer in plain ASCII digits"),
+        # numbers longer than int() reads
+        (["detect", "bad.txt", "c.csv"], {"bad.txt": f"a 2 b 1\na {'1' * 5000} b 1\n"}, 2, DATA,
+         "line 2: Exceeds the limit (4300 digits)"),
+        (["generate", "bad.json", "x.txt"], {"bad.json": '{"n_c": ' + "1" * 5000 + "}"}, 1, CONFIG,
+         "invalid config JSON: Exceeds the limit (4300 digits)"),
+        # the integer flags, read by `_decimal`
+        (["detect", "links.txt", "c.csv", "--seed", "+2"], {}, 1, USAGE,
+         "argument --seed: invalid int value: '+2'"),
+        (SWEEP + ["--values", "0.5", "--seeds", "1_0"], {}, 1, CONFIG, "--seeds integers"),
+        (["detect", "links.txt", "c.csv", "--coarsen", "\u0663"], {}, 1, USAGE,
+         "argument --coarsen: must be a positive integer"),
+        (SWEEP + ["--values", "1", "--seeds", "1", "--jobs", "+2"], {}, 1, USAGE,
+         "argument --jobs: must be a positive integer"),
+        (["repair", "links.txt", "cover.csv", "r.csv", "--min-overlap", "1_0"], {}, 1, USAGE,
+         "argument --min-overlap: must be a positive integer"),
     ],
 )
 def test_every_reachable_error_exits_cleanly(tmp_path, monkeypatch, capsys, argv, files, code, prefix, message):
@@ -966,3 +989,68 @@ def test_every_reachable_error_exits_cleanly(tmp_path, monkeypatch, capsys, argv
     assert err.startswith(prefix)
     assert message in err
     assert "Traceback" not in err
+
+
+# The fuzz below writes files of mostly plain rows, with now and then an
+# odd one: labels a writer would refuse, the number forms `_decimal` rejects,
+# numbers longer than int() reads, and blank or short rows.
+_FUZZ_ODD = ["+2", " 2", "1_0", "-0", "\u0663", "\uff11", "1" * 5000, "-" + "9" * 5000, "2.0", "nan",
+             "x", "", "#c", "\xe9", "a b", ",", '"', "\ufeffd"]
+_plain = st.integers(0, 3).map(str)
+_label = st.sampled_from("abc")
+_ratio = st.sampled_from(["0", "0.5", "1"])
+_odd_row = st.lists(st.one_of(_plain, st.sampled_from(_FUZZ_ODD)), max_size=8)
+_FUZZ_COMMANDS = {
+    "detect": ["detect", "links.txt", "out.csv"],
+    "detect-gn": ["detect", "links.txt", "out.csv", "--algo", "gn"],
+    "metrics": ["metrics", "links.txt", "cover.csv", "--community-out", "c.csv", "--node-out", "n.csv"],
+    "repair": ["repair", "links.txt", "cover.csv", "out.csv"],
+    "profile": ["profile", "communities.csv", "out.svg"],
+}
+
+
+def _fuzz_rows(*fields):
+    """Rows of ``fields``, three in four of them; the others odd in any way."""
+    plain = st.tuples(*fields).map(list)
+    return st.lists(st.one_of(plain, plain, plain, _odd_row), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(sorted(_FUZZ_COMMANDS)),
+    flags=st.lists(st.sampled_from(["--permissive", "--coarsen"]), unique=True),
+    coarsen=st.one_of(st.sampled_from(["1", "2"]), st.sampled_from(_FUZZ_ODD)),
+    links=_fuzz_rows(_label, _plain, _label, st.sampled_from("01")),
+    cover=_fuzz_rows(_label, _plain, _plain),
+    communities=_fuzz_rows(_plain, st.sampled_from("12"), _plain, _ratio, _ratio, _ratio, _plain),
+    cover_of_links=st.booleans(),
+    headers=st.sampled_from([1, 1, 1, 0]),
+)
+def test_every_command_exits_cleanly_on_any_input(
+    command, flags, coarsen, links, cover, communities, cover_of_links, headers
+):
+    if cover_of_links:  # one row per endpoint of the four-field link rows, so that some covers fit
+        ends = dict.fromkeys(tuple(row[i : i + 2]) for row in links if len(row) == 4 for i in (0, 2))
+        cover = [[label, t, str(k % 2)] for k, (label, t) in enumerate(ends)] + cover
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        argv = [str(folder / arg) if "." in arg else arg for arg in _FUZZ_COMMANDS[command]]
+        if command != "profile":
+            for flag in flags:
+                argv += [flag, coarsen] if flag == "--coarsen" else [flag]
+        (folder / "links.txt").write_text("".join(" ".join(row) + "\n" for row in links), encoding="utf-8")
+        for name, header, rows in [
+            ("cover.csv", "node,timestep,community", cover),
+            ("communities.csv", ",".join(COMMUNITY_HEADER), communities),
+        ]:
+            text = (header + "\n") * headers + "".join(",".join(row) + "\n" for row in rows)
+            (folder / name).write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse
+                assert exc.code == 1
+                code = 1
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

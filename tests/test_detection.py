@@ -197,6 +197,13 @@ def test_louvain_rejects_edgeless_graph():
     )
     with pytest.raises(UndefinedModularityError):
         louvain(view, seed=0)
+    with pytest.raises(UndefinedModularityError):  # the exhaustive oracle too
+        brute_force_best(view)
+
+
+def test_view_repr_shows_its_nodes_and_weight():
+    view = single_edge_view()
+    assert repr(view) == f"ModularityView(nodes={view.nodes!r}, total_weight=1.0)"
 
 
 def test_girvan_newman_keeps_disconnected_pairs():

@@ -4,7 +4,15 @@ import io
 
 import pytest
 
-from dyncomm import ConfigError, GeneratorConfig, cell_config, generate, read_assignment, write_assignment
+from dyncomm import (
+    ConfigError,
+    GeneratorConfig,
+    LinkValidationError,
+    cell_config,
+    generate,
+    read_assignment,
+    write_assignment,
+)
 from dyncomm.generator import cell_seed, planted_assignment
 
 BASE = dict(n_c=4, m=5, t_max=20, w=10, d=3, p=1.0, seed=20)
@@ -134,6 +142,18 @@ def test_assignment_sidecar_round_trip():
     buffer = io.StringIO()
     write_assignment(assignment, buffer)
     assert read_assignment(buffer.getvalue().splitlines()) == assignment
+
+
+@pytest.mark.parametrize("label", ["#a", "a b"])
+def test_write_assignment_rejects_a_label_that_would_not_read_back(tmp_path, label):
+    buffer = io.StringIO()
+    with pytest.raises(LinkValidationError, match=f"label {label!r} would not read back"):
+        write_assignment({label: 0, "b": 1}, buffer)
+    assert buffer.getvalue() == ""
+    out = tmp_path / "sub" / "assignment.txt"
+    with pytest.raises(LinkValidationError):
+        write_assignment({"b": 1, label: 0}, out)
+    assert not (tmp_path / "sub").exists()
 
 
 def test_read_assignment_errors_name_their_line():

@@ -146,6 +146,28 @@ def test_every_file_is_opened_in_one_place():
     assert outside == []
 
 
+def test_every_module_level_import_is_used():
+    # No linter runs on this tree, so this keeps a deletion from leaving a dead import behind.
+    unused = []
+    for path in sorted((SRC / "dyncomm").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            named.add("repair")  # re-exported: bound here for `from dyncomm import repair`
+        statements = list(tree.body)
+        for node in statements:
+            if isinstance(node, ast.If):  # `if TYPE_CHECKING:` blocks are module level too
+                statements += node.body + node.orelse
+            elif isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in named:
+                        unused.append(f"{path.name}:{node.lineno} {bound}")
+    assert unused == []
+
+
 def test_each_export_names_the_module_that_defines_it():
     # A name that another module re-imports would resolve through a wrong entry too.
     for name, module in dyncomm._EXPORTS.items():

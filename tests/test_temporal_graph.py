@@ -17,7 +17,7 @@ from dyncomm import (
     parse_link_file,
     write_links,
 )
-from dyncomm.temporal_graph import _decimal, _link_stream
+from dyncomm.temporal_graph import _decimal, _link_stream, _read_table
 
 from conftest import random_raw_links
 
@@ -301,6 +301,21 @@ def test_numbers_read_only_in_plain_ascii_digits(n):
     for text in _lax_forms(n)[::2]:  # the forms without a space, which splits a link line
         with pytest.raises(LinkParseError, match="^line 1: times must be integers$"):
             parse_link_file([f"a {text} b 0"], permissive=True)
+
+
+def test_link_times_longer_than_int_reads_fail_on_their_line():
+    with pytest.raises(LinkParseError, match=r"^line 2: Exceeds the limit \(4300 digits\)"):
+        parse_link_file(["a 1 b 0", f"a {'1' * 5000} b 0"])
+    with pytest.raises(LinkParseError, match=r"^line 1: Exceeds the limit \(4300 digits\)"):
+        list(_link_stream([f"a 9 b {'1' * 5000}"], True, 10))
+
+
+def test_read_table_skips_blank_rows():
+    rows = []
+    _read_table(io.StringIO("a,b\n1,2\n\n3,4\n"), "test", ["a", "b"], rows.append)
+    assert rows == [["1", "2"], ["3", "4"]]
+    with pytest.raises(ValueError, match="^line 3: expected 2 fields, got 1"):
+        _read_table(io.StringIO("a,b\n\n1\n"), "test", ["a", "b"], rows.append)
 
 
 def test_link_times_that_int_would_rewrite_fail_on_their_line():

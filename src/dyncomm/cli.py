@@ -72,6 +72,16 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
+def _real(text: str) -> float:
+    """The number that ``text`` writes in ASCII, with no ``+`` or ``_``.
+
+    ``float`` also reads those forms and the digits of other scripts.
+    """
+    if text.isascii() and "_" not in text and text[:1] != "+":
+        return float(text)
+    raise ValueError(f"{text!r} is not a number in plain ASCII")
+
+
 def _positive_int(text: str) -> int:
     try:
         value = _decimal(text)
@@ -218,14 +228,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     cover = _read_cover_checked(args.cover)
     communities = community_reports(cover, tg)
     nodes = node_reports(cover, tg)
-    if args.community_out:
-        write_community_csv(communities, args.community_out)
-    if args.node_out:
-        write_node_csv(nodes, args.node_out)
+    # A table whose path is not given goes to stdout, a blank line between two there.
+    write_community_csv(communities, args.community_out or sys.stdout)
     if not args.community_out and not args.node_out:
-        write_community_csv(communities, sys.stdout)
         sys.stdout.write("\n")
-        write_node_csv(nodes, sys.stdout)
+    write_node_csv(nodes, args.node_out or sys.stdout)
     return EXIT_OK
 
 
@@ -271,7 +278,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     base = GeneratorConfig.from_json_file(args.config)
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        values = [_real(v.strip()) for v in args.values.split(",") if v.strip()]
         seeds = [_decimal(s.strip()) for s in args.seeds.split(",") if s.strip()]
     except ValueError:
         raise ConfigError("--values takes floats and --seeds integers, comma-separated") from None

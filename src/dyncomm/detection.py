@@ -83,72 +83,40 @@ class Cover(_CoverFields):
         return groups
 
 
-class _Rows(Sequence[tuple[tuple[int, float], ...]]):
-    """Adjacency rows held flat (compressed sparse rows), each sorted by target.
-
-    Row ``i`` is ``targets[offsets[i]:offsets[i + 1]]`` with the weights at
-    the same places.  ``rows[i]`` and iteration give the row's
-    ``(target, weight)`` pairs as a tuple.
-    """
-
-    __slots__ = ("offsets", "targets", "weights")
-
-    def __init__(self, offsets: array, targets: array, weights: array) -> None:
-        self.offsets = offsets
-        self.targets = targets
-        self.weights = weights
-
-    def __len__(self) -> int:
-        return len(self.offsets) - 1
-
-    def __getitem__(self, i: int) -> tuple[tuple[int, float], ...]:  # type: ignore[override]
-        i = range(len(self))[i]  # a negative index counts from the end; IndexError past it
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        return tuple(zip(self.targets[lo:hi], self.weights[lo:hi]))
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, float], ...]]:
-        targets, weights = self.targets, self.weights
-        lo = 0
-        for hi in self.offsets[1:]:
-            yield tuple(zip(targets[lo:hi], weights[lo:hi]))
-            lo = hi
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _Rows):
-            return NotImplemented
-        return (self.offsets, self.targets, self.weights) == (
-            other.offsets,
-            other.targets,
-            other.weights,
-        )
-
-    def per_entry(self, labels: Iterable[int]) -> Iterator[int]:
-        """Row ``i``'s label, ``labels[i]``, once for each of its entries, in step with ``targets``."""
-        return chain.from_iterable(map(repeat, labels, map(sub, self.offsets[1:], self.offsets)))
-
-
 class ModularityView(NamedTuple):
     """Undirected weighted view of a temporal graph.
 
-    ``adj`` holds, at both endpoints, each unordered pair once with its
-    symmetrized weight, as flat rows sorted by neighbour (see `_Rows`);
-    ``adj[i]`` gives row ``i``'s ``(neighbor, weight)`` pairs.  Self-loops
-    live in ``self_weight``.  Weighted degree counts a self-loop twice, so
-    degrees sum to 2 * total_weight.
+    The adjacency is held flat, as compressed sparse rows: row ``i`` is
+    ``targets[offsets[i]:offsets[i + 1]]``, sorted by target, with the
+    weights at the same places.  Each unordered pair sits at both its ends
+    with its symmetrized weight.  Self-loops live in ``self_weight``.
+    Weighted degree counts a self-loop twice, so degrees sum to
+    2 * total_weight.
     """
 
     nodes: tuple[TemporalNode, ...]
-    adj: _Rows
+    offsets: array
+    targets: array
+    weights: array
     self_weight: tuple[float, ...]
     degree: tuple[float, ...]
     total_weight: float
 
     @classmethod
     def from_temporal_graph(cls, tg: TemporalGraph) -> "ModularityView":
-        adj, self_w, degree = _fold(len(tg.nodes), _link_triples(tg))
+        nodes, links = tg.nodes, tg.links
+        ends = chain(map(itemgetter(0), links), map(itemgetter(1), links))
+        # The ends' indices go as a temporary, which `_fold` frees once it has read them.
+        offsets, targets, weights, self_w, degree = _fold(
+            list(map(dict(zip(nodes, range(len(nodes)))).__getitem__, ends)),
+            map(itemgetter(2), links),
+            [0.0] * len(nodes),
+        )
         return cls(
-            nodes=tg.nodes,
-            adj=adj,
+            nodes=nodes,
+            offsets=offsets,
+            targets=targets,
+            weights=weights,
             self_weight=tuple(self_w),
             degree=tuple(degree),
             total_weight=float(tg.total_weight),
@@ -157,6 +125,12 @@ class ModularityView(NamedTuple):
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
+
+    @property
+    def adj(self) -> Iterator[tuple[tuple[int, float], ...]]:
+        """Each row's ``(neighbor, weight)`` pairs as a tuple, in row order."""
+        offsets, targets, weights = self.offsets, self.targets, self.weights
+        return (tuple(zip(targets[lo:hi], weights[lo:hi])) for lo, hi in zip(offsets, offsets[1:]))
 
     def __repr__(self) -> str:
         return f"ModularityView(nodes={self.nodes!r}, total_weight={self.total_weight!r})"
@@ -175,41 +149,32 @@ def _modularity(view: ModularityView, comm: list[int]) -> float:
     Folded by community, Q sums each community's internal weight over m
     less its squared share of the total degree.
     """
-    _, internal, tot = _fold_by(view.adj, view.self_weight, comm)
+    *_, internal, tot = _fold_by(view.offsets, view.targets, view.weights, view.self_weight, comm)
     two_m = 2.0 * view.total_weight
     return sum(2.0 * w / two_m - (d / two_m) ** 2 for w, d in zip(internal, tot))
 
 
-def _link_triples(tg: TemporalGraph) -> Callable[[], Iterator[tuple[int, int, int]]]:
-    """The links of ``tg`` as ``(source index, target index, weight)``, afresh at each call.
-
-    Each endpoint's node index is looked up once, and kept in an array.
-    """
-    index = dict(zip(tg.nodes, range(len(tg.nodes)))).__getitem__
-    links = tg.links
-    src = array("i", list(map(index, map(itemgetter(0), links))))
-    dst = array("i", list(map(index, map(itemgetter(1), links))))
-    return lambda: zip(src, dst, map(itemgetter(2), links))
-
-
 def _fold(
-    k: int, triples: Callable[[], Iterable[tuple[int, int, float]]]
-) -> tuple[_Rows, list[float], list[float]]:
-    """Fold weight triples ``(i, j, w)`` over ids ``0..k-1`` into ``(adj, self_weight, degree)``.
+    ends: Iterable[int], link_w: Iterable[float], self_w: list[float]
+) -> tuple[array, array, array, list[float], list[float]]:
+    """Fold weighted links into ``(offsets, targets, weights, self_w, degree)``.
 
-    ``triples()`` gives the same triples each time it is called; a triple
-    with ``i == j`` is a self-loop.  The first pass counts each row's
+    ``ends`` gives the source of every link, then the target of every link,
+    and ``link_w`` their weights, over ids ``0..len(self_w)-1``.  A link
+    with equal ends is a self-loop, whose weight is added to ``self_w`` in
+    place.  The ends are read once.  The first pass counts each row's
     half-edges and the second places them, at both ends.  Then each row is
     sorted by target and the weights of one unordered pair are added up,
     whichever way round they came, compacting the arrays in place.  Degree
     counts a self-loop twice.
     """
-    self_w = [0.0] * k
+    k = len(self_w)
+    ends = array("i", ends)
+    src, dst = ends[: len(ends) // 2], ends[len(ends) // 2 :]
+    del ends
     count = [0] * k
-    for i, j, w in triples():
-        if i == j:
-            self_w[i] += w
-        else:
+    for i, j in zip(src, dst):
+        if i != j:
             count[i] += 1
             count[j] += 1
     offsets = array("q", accumulate(count, initial=0))
@@ -218,8 +183,10 @@ def _fold(
     n = offsets[-1]
     targets = array("i", [0]) * n
     weights = array("d", [0.0]) * n
-    for i, j, w in triples():
-        if i != j:
+    for i, j, w in zip(src, dst, link_w):
+        if i == j:
+            self_w[i] += w
+        else:
             at = free[i]
             targets[at] = j
             weights[at] = w
@@ -228,7 +195,7 @@ def _fold(
             targets[at] = i
             weights[at] = w
             free[j] = at + 1
-    del free, triples  # the callable may hold arrays of its own
+    del free, src, dst
     degree: list[float] = []
     append = degree.append
     end = 0
@@ -250,23 +217,28 @@ def _fold(
         lo = hi
     offsets[k] = end
     del targets[end:], weights[end:]
-    return _Rows(offsets, targets, weights), self_w, degree
+    return offsets, targets, weights, self_w, degree
+
+
+def _per_entry(offsets: array, labels: Iterable[int]) -> Iterator[int]:
+    """Row ``i``'s label, ``labels[i]``, once for each of its entries, in step with the targets."""
+    return chain.from_iterable(map(repeat, labels, map(sub, offsets[1:], offsets)))
 
 
 def _fold_by(
-    adj: _Rows, self_w: Sequence[float], comm: list[int]
-) -> tuple[_Rows, list[float], list[float]]:
+    offsets: array, targets: array, weights: array, self_w: Sequence[float], comm: list[int]
+) -> tuple[array, array, array, list[float], list[float]]:
     """`_fold` of a level's self-loops and pairs, each end relabelled by ``comm``.
 
     The weights of the pairs that join two communities are summed per pair
-    of communities first, so `_fold` lays out one triple for each.
+    of communities first, so `_fold` lays out one link for each.
     """
     k = max(comm) + 1
     loops = [0.0] * k
     for ci, s in zip(comm, self_w):
         loops[ci] += s
     between: dict[int, float] = {}  # keyed c * k + d, with c < d
-    entries = zip(adj.per_entry(range(len(comm))), adj.per_entry(comm), adj.targets, adj.weights)
+    entries = zip(_per_entry(offsets, range(len(comm))), _per_entry(offsets, comm), targets, weights)
     for i, ci, j, w in entries:
         if j > i:  # each pair once
             cj = comm[j]
@@ -276,16 +248,14 @@ def _fold_by(
                 key = ci * k + cj if ci < cj else cj * k + ci
                 between[key] = between.get(key, 0.0) + w
     return _fold(
-        k,
-        lambda: chain(
-            zip(range(k), range(k), loops),
-            zip(map(floordiv, between, repeat(k)), map(mod, between, repeat(k)), between.values()),
-        ),
+        chain(map(floordiv, between, repeat(k)), map(mod, between, repeat(k))), between.values(), loops
     )
 
 
 def _one_level(
-    adj: _Rows,
+    offsets: array,
+    targets: array,
+    weights: array,
     degree: Sequence[float],
     two_m: float,
     rng: random.Random,
@@ -298,8 +268,8 @@ def _one_level(
     popped node's weight to each community adds up in one flat list, which
     is zeroed again at the communities it touched.
     """
-    n = len(adj)
-    offsets, targets, weights = adj.offsets.tolist(), adj.targets, adj.weights
+    n = len(degree)
+    offsets = offsets.tolist()
     eps = _EPS
     comm = list(range(n))
     tot = list(degree)
@@ -369,20 +339,20 @@ def louvain(view: ModularityView, seed: int = 0) -> Cover:
     if view.total_weight <= 0:
         raise UndefinedModularityError("louvain undefined: graph has no edges")
     rng = random.Random(seed)
-    adj, self_w, degree = view.adj, view.self_weight, view.degree
+    offsets, targets, weights = view.offsets, view.targets, view.weights
+    self_w, degree = view.self_weight, view.degree
     two_m = 2.0 * view.total_weight
     assign = list(range(view.n_nodes))
     while True:
-        dense = _densify(_one_level(adj, degree, two_m, rng))
+        dense = _densify(_one_level(offsets, targets, weights, degree, two_m, rng))
         assign = [dense[a] for a in assign]
         if len(set(dense)) == len(dense):
             break
-        adj, self_w, degree = _fold_by(adj, self_w, dense)
-    offsets, targets = view.adj.offsets, view.adj.targets
+        offsets, targets, weights, self_w, degree = _fold_by(offsets, targets, weights, self_w, dense)
 
     def inside(i: int) -> list[int]:
         a = assign[i]
-        return [j for j in targets[offsets[i] : offsets[i + 1]] if assign[j] == a]
+        return [j for j in view.targets[view.offsets[i] : view.offsets[i + 1]] if assign[j] == a]
 
     return _cover(view, _split(view.n_nodes, inside))
 
@@ -464,7 +434,7 @@ def girvan_newman(view: ModularityView) -> Cover:
         )
     if view.total_weight <= 0:
         raise UndefinedModularityError("girvan-newman undefined: graph has no edges")
-    offsets, targets = view.adj.offsets, view.adj.targets
+    offsets, targets = view.offsets, view.targets
     adj = [set(targets[offsets[i] : offsets[i + 1]]) for i in range(view.n_nodes)]
     best = _split(view.n_nodes, adj.__getitem__)
     best_q = _modularity(view, best)

@@ -66,8 +66,12 @@ class GeneratorConfig(_GeneratorConfigFields):
             raise ConfigError("average out-degree d must be positive")
         if not math.isfinite(self.d):
             raise ConfigError(f"average out-degree d must be finite, got {self.d}")
-        per_step = self.d * self.n
-        if abs(per_step - round(per_step)) > 1e-9 or round(per_step) < 1:
+        try:
+            per_step = self.d * self.n
+        except OverflowError:  # n beyond a float's range
+            per_step = math.inf
+        whole = round(per_step) if math.isfinite(per_step) else 0
+        if abs(per_step - whole) > 1e-9 or whole < 1:
             raise ConfigError(
                 f"d*n must be a positive integer link count per timestep, got {per_step}"
             )
@@ -100,11 +104,12 @@ class GeneratorConfig(_GeneratorConfigFields):
         unknown = set(data) - set(cls._fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        # int() and float() would quietly take true as 1 and cut 2.7 to 2.
+        # Only JSON numbers: int() and float() would quietly take true as 1,
+        # cut 2.7 to 2 and read strings such as "1_0" or "٣".
         for key in cls._fields:
             value = data[key]
-            if isinstance(value, bool):
-                raise ConfigError(f"config value {key} must be a number, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"non-numeric config value: {key} must be a number, got {value!r}")
             if key not in _REAL_FIELDS and isinstance(value, float) and not value.is_integer():
                 raise ConfigError(f"config value {key} must be an integer, got {value!r}")
         try:
@@ -112,8 +117,8 @@ class GeneratorConfig(_GeneratorConfigFields):
                 key: float(data[key]) if key in _REAL_FIELDS else int(data[key])
                 for key in cls._fields
             }
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"non-numeric config value: {exc}") from None
+        except OverflowError as exc:  # an integer too large for a float
+            raise ConfigError(f"config value out of range: {exc}") from None
         return cls(**values)
 
     @classmethod

@@ -160,10 +160,9 @@ def test_view_holds_its_adjacency_in_flat_arrays(tmp_path, k):
     # Flat rows take 12 bytes per half-edge and 8 per node; rows of
     # (neighbour, weight) tuples took about 90 bytes per half-edge.
     view = traced_ingest(tmp_path, k)[4]
-    adj = view.adj
-    half_edges = sum(len(row) for row in adj)
-    assert adj.offsets[-1] == len(adj.targets) == len(adj.weights) == half_edges > 0
-    held = sum(sys.getsizeof(part) for part in (adj.offsets, adj.targets, adj.weights))
+    half_edges = sum(len(row) for row in view.adj)
+    assert view.offsets[-1] == len(view.targets) == len(view.weights) == half_edges > 0
+    held = sum(sys.getsizeof(part) for part in (view.offsets, view.targets, view.weights))
     assert held <= 16 * half_edges + 16 * view.n_nodes
 
 
@@ -334,6 +333,24 @@ def test_metrics_stdout_contains_both_tables(tmp_path, capsys):
     assert main(["metrics", str(links), str(cover)]) == 0
     out = capsys.readouterr().out
     assert "community,z," in out and "node,lifetime," in out
+
+
+@pytest.mark.parametrize("given", ["--community-out", "--node-out"])
+def test_metrics_writes_a_table_without_a_path_to_stdout(tmp_path, capsys, given):
+    links = tmp_path / "links.txt"
+    links.write_text("a 2 a 1\nb 2 a 2\n")
+    cover = tmp_path / "cover.csv"
+    cover.write_text("node,timestep,community\na,1,0\na,2,0\nb,2,0\n")
+    both = tmp_path / "c.csv", tmp_path / "n.csv"
+    args = ["metrics", str(links), str(cover)]
+    assert main(args + ["--community-out", str(both[0]), "--node-out", str(both[1])]) == 0
+    texts = dict(zip(["--community-out", "--node-out"], (path.read_text() for path in both)))
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    assert main(args + [given, str(out)]) == 0
+    (other,) = set(texts) - {given}
+    assert out.read_text() == texts[given]
+    assert capsys.readouterr().out == texts[other]
 
 
 def circles(svg: str) -> list[tuple[float, float, float]]:
@@ -827,6 +844,8 @@ def test_sweep_pool_never_outnumbers_its_cells(tmp_path, monkeypatch):
 # takes positive integers only) and the TemporalGraph and Cover constructors'
 # checks (always built consistent).  The two `disagree` rows reach
 # `Cover.membership`, the one place a cover is checked against its graph.
+# Each row's id is fixed, so that editing a message keeps the row's test id:
+# the first 71 keep the ids pytest once derived from all their arguments.
 LINKS = "a 2 b 1\n"
 COVER = "node,timestep,community\na,2,0\nb,1,0\n"
 COMMUNITIES = "community,z,temporal_size,NA,SC,HI,internal_links\n"
@@ -843,131 +862,230 @@ def cfg(**overrides):
     "argv, files, code, prefix, message",
     [
         # argparse
-        (["detect"], {}, 1, USAGE, "the following arguments are required: links, out"),
-        (["frobnicate"], {}, 1, USAGE, "invalid choice: 'frobnicate'"),
-        (["detect", "links.txt", "c.csv", "--coarsen", "0"], {}, 1, USAGE,
-         "argument --coarsen: must be a positive integer"),
-        (["detect", "links.txt", "c.csv", "--seed", "x"], {}, 1, USAGE, "invalid int value: 'x'"),
-        (SWEEP[:4] + ["w", "--values", "1", "--seeds", "1"], {}, 1, USAGE, "invalid choice: 'w'"),
-        (SWEEP + ["--values", "1", "--seeds", "1", "--jobs", "0"], {}, 1, USAGE,
-         "argument --jobs: must be a positive integer"),
+        pytest.param(["detect"], {}, 1, USAGE, "the following arguments are required: links, out",
+            id="argv0-files0-1-usage: -the following arguments are required: links, out"),
+        pytest.param(["frobnicate"], {}, 1, USAGE, "invalid choice: 'frobnicate'",
+            id="argv1-files1-1-usage: -invalid choice: 'frobnicate'"),
+        pytest.param(["detect", "links.txt", "c.csv", "--coarsen", "0"], {}, 1, USAGE,
+            "argument --coarsen: must be a positive integer",
+            id="argv2-files2-1-usage: -argument --coarsen: must be a positive integer"),
+        pytest.param(["detect", "links.txt", "c.csv", "--seed", "x"], {}, 1, USAGE, "invalid int value: 'x'",
+            id="argv3-files3-1-usage: -invalid int value: 'x'"),
+        pytest.param(SWEEP[:4] + ["w", "--values", "1", "--seeds", "1"], {}, 1, USAGE, "invalid choice: 'w'",
+            id="argv4-files4-1-usage: -invalid choice: 'w'"),
+        pytest.param(SWEEP + ["--values", "1", "--seeds", "1", "--jobs", "0"], {}, 1, USAGE,
+            "argument --jobs: must be a positive integer",
+            id="argv5-files5-1-usage: -argument --jobs: must be a positive integer"),
         # `_outputs`
-        (["detect", "links.txt", "links.txt"], {}, 1, "usage error: ", "name the same file"),
-        (["repair", "links.txt", "cover.csv", "r.csv", "--trace", "r.csv"], {}, 1, "usage error: ",
-         "output r.csv and output r.csv name the same file"),
+        pytest.param(["detect", "links.txt", "links.txt"], {}, 1, "usage error: ", "name the same file",
+            id="argv6-files6-1-usage error: -name the same file"),
+        pytest.param(["repair", "links.txt", "cover.csv", "r.csv", "--trace", "r.csv"], {}, 1, "usage error: ",
+            "output r.csv and output r.csv name the same file",
+            id="argv7-files7-1-usage error: -output r.csv and output r.csv name the same file"),
         # generator config, through generate and sweep
-        (["generate", "bad.json", "x.txt"], {"bad.json": "{"}, 1, CONFIG, "invalid config JSON"),
-        (["generate", "bad.json", "x.txt"], {"bad.json": "[1]"}, 1, CONFIG, "must be an object"),
-        (["generate", "bad.json", "x.txt"], {"bad.json": '{"n_c": 2}'}, 1, CONFIG, "missing config keys"),
-        (["generate", "bad.json", "x.txt"], cfg(colour=1), 1, CONFIG, "unknown config keys: ['colour']"),
-        (["generate", "bad.json", "x.txt"], cfg(seed=True), 1, CONFIG, "seed must be a number"),
-        (["generate", "bad.json", "x.txt"], cfg(m=2.5), 1, CONFIG, "m must be an integer, got 2.5"),
-        (["generate", "bad.json", "x.txt"], cfg(n_c="two"), 1, CONFIG, "non-numeric config value"),
-        (["generate", "bad.json", "x.txt"], cfg(seed=None), 1, CONFIG, "non-numeric config value"),
-        (["generate", "bad.json", "x.txt"], cfg(n_c=0), 1, CONFIG, "n_c and m must be positive"),
-        (["generate", "bad.json", "x.txt"], cfg(t_max=0), 1, CONFIG, "t_max must be positive"),
-        (["generate", "bad.json", "x.txt"], cfg(w=0), 1, CONFIG, "window w must be positive"),
-        (["generate", "bad.json", "x.txt"], cfg(p=-0.1), 1, CONFIG, "p must lie in [0, 1], got -0.1"),
-        (["generate", "bad.json", "x.txt"], cfg(d=-1), 1, CONFIG, "d must be positive"),
-        (["generate", "bad.json", "x.txt"], cfg(d=float("inf")), 1, CONFIG, "d must be finite, got inf"),
-        (["generate", "bad.json", "x.txt"], cfg(d=0.01), 1, CONFIG, "d*n must be a positive integer"),
-        (["generate", "bad.json", "x.txt"], cfg(m=1, p=0.5, d=1), 1, CONFIG,
-         "p > 0 requires communities of at least 2 members"),
-        (["generate", "bad.json", "x.txt"], cfg(n_c=1, p=0.5), 1, CONFIG,
-         "p < 1 requires at least 2 communities"),
-        (SWEEP + ["--values", "0.5,x", "--seeds", "1"], {}, 1, CONFIG, "--values takes floats"),
-        (SWEEP + ["--values", "0.5", "--seeds", "1.5"], {}, 1, CONFIG, "--seeds integers"),
-        (SWEEP + ["--values", ",", "--seeds", "1"], {}, 1, CONFIG, "--values must list at least one"),
-        (SWEEP + ["--values", "0.5", "--seeds", ""], {}, 1, CONFIG, "--seeds must list at least one"),
-        (SWEEP + ["--values", "0.5,0.50", "--seeds", "1"], {}, 1, "usage error: ",
-         "output out/links_p0.5_s1.txt and output out/links_p0.5_s1.txt name the same file"),
-        (SWEEP + ["--values", "0.5,-0.5", "--seeds", "1"], {}, 1, CONFIG, "p must lie in [0, 1]"),
-        (["sweep", "bad.json", "out", "--param", "d", "--values", "2", "--seeds", "1"], cfg(w=0), 1,
-         CONFIG, "window w must be positive"),
+        pytest.param(["generate", "bad.json", "x.txt"], {"bad.json": "{"}, 1, CONFIG, "invalid config JSON",
+            id="argv8-files8-1-config error: -invalid config JSON"),
+        pytest.param(["generate", "bad.json", "x.txt"], {"bad.json": "[1]"}, 1, CONFIG, "must be an object",
+            id="argv9-files9-1-config error: -must be an object"),
+        pytest.param(["generate", "bad.json", "x.txt"], {"bad.json": '{"n_c": 2}'}, 1, CONFIG, "missing config keys",
+            id="argv10-files10-1-config error: -missing config keys"),
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(colour=1), 1, CONFIG, "unknown config keys: ['colour']",
+            id="argv11-files11-1-config error: -unknown config keys: ['colour']"),
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(seed=True), 1, CONFIG, "seed must be a number",
+            id="argv12-files12-1-config error: -seed must be a number"),
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(m=2.5), 1, CONFIG, "m must be an integer, got 2.5",
+            id="argv13-files13-1-config error: -m must be an integer, got 2.5"),
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(n_c="two"), 1, CONFIG, "non-numeric config value",
+            id="argv14-files14-1-config error: -non-numeric config value"),
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(seed=None), 1, CONFIG, "non-numeric config value",
+            id="argv15-files15-1-config error: -non-numeric config value"),
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(n_c=0), 1, CONFIG, "n_c and m must be positive",
+            id="argv16-files16-1-config error: -n_c and m must be positive"),
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(t_max=0), 1, CONFIG, "t_max must be positive",
+            id="argv17-files17-1-config error: -t_max must be positive"),
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(w=0), 1, CONFIG, "window w must be positive",
+            id="argv18-files18-1-config error: -window w must be positive"),
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(p=-0.1), 1, CONFIG, "p must lie in [0, 1], got -0.1",
+            id="argv19-files19-1-config error: -p must lie in [0, 1], got -0.1"),
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(d=-1), 1, CONFIG, "d must be positive",
+            id="argv20-files20-1-config error: -d must be positive"),
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(d=float("inf")), 1, CONFIG, "d must be finite, got inf",
+            id="argv21-files21-1-config error: -d must be finite, got inf"),
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(d=0.01), 1, CONFIG, "d*n must be a positive integer",
+            id="argv22-files22-1-config error: -d*n must be a positive integer"),
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(m=1, p=0.5, d=1), 1, CONFIG,
+            "p > 0 requires communities of at least 2 members",
+            id="argv23-files23-1-config error: -p > 0 requires communities of at least 2 members"),
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(n_c=1, p=0.5), 1, CONFIG,
+            "p < 1 requires at least 2 communities",
+            id="argv24-files24-1-config error: -p < 1 requires at least 2 communities"),
+        pytest.param(SWEEP + ["--values", "0.5,x", "--seeds", "1"], {}, 1, CONFIG, "--values takes floats",
+            id="argv25-files25-1-config error: ---values takes floats"),
+        pytest.param(SWEEP + ["--values", "0.5", "--seeds", "1.5"], {}, 1, CONFIG, "--seeds integers",
+            id="argv26-files26-1-config error: ---seeds integers"),
+        pytest.param(SWEEP + ["--values", ",", "--seeds", "1"], {}, 1, CONFIG, "--values must list at least one",
+            id="argv27-files27-1-config error: ---values must list at least one"),
+        pytest.param(SWEEP + ["--values", "0.5", "--seeds", ""], {}, 1, CONFIG, "--seeds must list at least one",
+            id="argv28-files28-1-config error: ---seeds must list at least one"),
+        pytest.param(SWEEP + ["--values", "0.5,0.50", "--seeds", "1"], {}, 1, "usage error: ",
+            "output out/links_p0.5_s1.txt and output out/links_p0.5_s1.txt name the same file",
+            id="argv29-files29-1-usage error: -output out/links_p0.5_s1.txt and output out/links_p0.5_s1.txt name the same file"),
+        pytest.param(SWEEP + ["--values", "0.5,-0.5", "--seeds", "1"], {}, 1, CONFIG, "p must lie in [0, 1]",
+            id="argv30-files30-1-config error: -p must lie in [0, 1]"),
+        pytest.param(["sweep", "bad.json", "out", "--param", "d", "--values", "2", "--seeds", "1"], cfg(w=0), 1,
+            CONFIG, "window w must be positive",
+            id="argv31-files31-1-config error: -window w must be positive"),
         # files that cannot be read or written
-        (["detect", "nope.txt", "c.csv"], {}, 2, DATA, "No such file or directory"),
-        (["detect", "links.txt", "links.txt/c.csv"], {}, 2, DATA, "File exists"),
-        (["detect", "bad.txt", "c.csv"], {"bad.txt": b"a 2 \xff 1\n"}, 2, DATA, "line 1: not UTF-8 text"),
+        pytest.param(["detect", "nope.txt", "c.csv"], {}, 2, DATA, "No such file or directory",
+            id="argv32-files32-2-error: -No such file or directory"),
+        pytest.param(["detect", "links.txt", "links.txt/c.csv"], {}, 2, DATA, "File exists",
+            id="argv33-files33-2-error: -File exists"),
+        pytest.param(["detect", "bad.txt", "c.csv"], {"bad.txt": b"a 2 \xff 1\n"}, 2, DATA, "line 1: not UTF-8 text",
+            id="argv34-files34-2-error: -line 1: not UTF-8 text"),
         # link files, through every command that reads one
-        (["detect", "bad.txt", "c.csv"], {"bad.txt": "a 2 b 1\na 2 b\n"}, 2, DATA,
-         "line 2: expected 4 whitespace-separated fields, got 3"),
-        (["metrics", "bad.txt", "cover.csv"], {"bad.txt": "a 2 b x\n"}, 2, DATA,
-         "line 1: times must be integers"),
-        (["repair", "bad.txt", "cover.csv", "r.csv"], {"bad.txt": "a 2 b -1\n"}, 2, DATA,
-         "line 1: times must be non-negative"),
-        (["detect", "bad.txt", "c.csv"], {"bad.txt": "a 1 b 2\n"}, 2, DATA,
-         "line 1: target newer than source"),
+        pytest.param(["detect", "bad.txt", "c.csv"], {"bad.txt": "a 2 b 1\na 2 b\n"}, 2, DATA,
+            "line 2: expected 4 whitespace-separated fields, got 3",
+            id="argv35-files35-2-error: -line 2: expected 4 whitespace-separated fields, got 3"),
+        pytest.param(["metrics", "bad.txt", "cover.csv"], {"bad.txt": "a 2 b x\n"}, 2, DATA,
+            "line 1: times must be integers",
+            id="argv36-files36-2-error: -line 1: times must be integers"),
+        pytest.param(["repair", "bad.txt", "cover.csv", "r.csv"], {"bad.txt": "a 2 b -1\n"}, 2, DATA,
+            "line 1: times must be non-negative",
+            id="argv37-files37-2-error: -line 1: times must be non-negative"),
+        pytest.param(["detect", "bad.txt", "c.csv"], {"bad.txt": "a 1 b 2\n"}, 2, DATA,
+            "line 1: target newer than source",
+            id="argv38-files38-2-error: -line 1: target newer than source"),
         # detection
-        (["detect", "bad.txt", "c.csv"], {"bad.txt": "# no links\n"}, 2, DATA,
-         "louvain undefined: graph has no edges"),
-        (["detect", "bad.txt", "c.csv", "--algo", "gn"], {"bad.txt": ""}, 2, DATA,
-         "girvan-newman undefined: graph has no edges"),
-        (["detect", "big.txt", "c.csv", "--algo", "gn"],
-         {"big.txt": "".join(f"n{i} 1 n{i + 1} 1\n" for i in range(500))}, 2, DATA,
-         "501 nodes exceeds the Girvan-Newman limit of 500"),
+        pytest.param(["detect", "bad.txt", "c.csv"], {"bad.txt": "# no links\n"}, 2, DATA,
+            "louvain undefined: graph has no edges",
+            id="argv39-files39-2-error: -louvain undefined: graph has no edges"),
+        pytest.param(["detect", "bad.txt", "c.csv", "--algo", "gn"], {"bad.txt": ""}, 2, DATA,
+            "girvan-newman undefined: graph has no edges",
+            id="argv40-files40-2-error: -girvan-newman undefined: graph has no edges"),
+        pytest.param(["detect", "big.txt", "c.csv", "--algo", "gn"],
+            {"big.txt": "".join(f"n{i} 1 n{i + 1} 1\n" for i in range(500))}, 2, DATA,
+            "501 nodes exceeds the Girvan-Newman limit of 500",
+            id="argv41-files41-2-error: -501 nodes exceeds the Girvan-Newman limit of 500"),
         # cover CSVs, through metrics and repair
-        (["metrics", "links.txt", "bad.csv"], {"bad.csv": "node,t,community\n"}, 2, DATA,
-         "line 1: expected cover header"),
-        (["repair", "links.txt", "bad.csv", "r.csv"], {"bad.csv": COVER + "c,1\n"}, 2, DATA,
-         "line 4: expected 3 fields, got 2"),
-        (["metrics", "links.txt", "bad.csv"], {"bad.csv": COVER + "c,x,0\n"}, 2, DATA,
-         "line 4: invalid literal for int()"),
-        (["repair", "links.txt", "bad.csv", "r.csv"], {"bad.csv": COVER + "a,2,1\n"}, 2, DATA,
-         "line 4: duplicate cover row for (a,2)"),
-        (["metrics", "links.txt", "bad.csv"], {"bad.csv": COVER[:-6]}, 2, DATA,
-         "cover and link data disagree on temporal node (b,1)"),
-        (["repair", "links.txt", "bad.csv", "r.csv"], {"bad.csv": COVER + "c,1,0\n"}, 2, DATA,
-         "cover and link data disagree on temporal node (c,1)"),
+        pytest.param(["metrics", "links.txt", "bad.csv"], {"bad.csv": "node,t,community\n"}, 2, DATA,
+            "line 1: expected cover header",
+            id="argv42-files42-2-error: -line 1: expected cover header"),
+        pytest.param(["repair", "links.txt", "bad.csv", "r.csv"], {"bad.csv": COVER + "c,1\n"}, 2, DATA,
+            "line 4: expected 3 fields, got 2",
+            id="argv43-files43-2-error: -line 4: expected 3 fields, got 2"),
+        pytest.param(["metrics", "links.txt", "bad.csv"], {"bad.csv": COVER + "c,x,0\n"}, 2, DATA,
+            "line 4: invalid literal for int()",
+            id="argv44-files44-2-error: -line 4: invalid literal for int()"),
+        pytest.param(["repair", "links.txt", "bad.csv", "r.csv"], {"bad.csv": COVER + "a,2,1\n"}, 2, DATA,
+            "line 4: duplicate cover row for (a,2)",
+            id="argv45-files45-2-error: -line 4: duplicate cover row for (a,2)"),
+        pytest.param(["metrics", "links.txt", "bad.csv"], {"bad.csv": COVER[:-6]}, 2, DATA,
+            "cover and link data disagree on temporal node (b,1)",
+            id="argv46-files46-2-error: -cover and link data disagree on temporal node (b,1)"),
+        pytest.param(["repair", "links.txt", "bad.csv", "r.csv"], {"bad.csv": COVER + "c,1,0\n"}, 2, DATA,
+            "cover and link data disagree on temporal node (c,1)",
+            id="argv47-files47-2-error: -cover and link data disagree on temporal node (c,1)"),
         # community CSVs, through profile
-        (["profile", "bad.csv", "p.svg"], {"bad.csv": "community,z\n"}, 2, DATA,
-         "line 1: expected community header"),
-        (["profile", "bad.csv", "p.svg"], {"bad.csv": COMMUNITIES + "0,1,1,0,0,1\n"}, 2, DATA,
-         "line 2: expected 7 fields, got 6"),
-        (["profile", "bad.csv", "p.svg"], {"bad.csv": COMMUNITIES + "0,1,1,x,0,1,0\n"}, 2, DATA,
-         "line 2: could not convert string to float"),
-        (["profile", "bad.csv", "p.svg"], {"bad.csv": COMMUNITIES + "0,1,1,0,nan,1,0\n"}, 2, DATA,
-         "line 2: SC must be finite, got nan"),
-        (["profile", "missing.csv", "p.svg"], {}, 2, DATA, "No such file or directory"),
+        pytest.param(["profile", "bad.csv", "p.svg"], {"bad.csv": "community,z\n"}, 2, DATA,
+            "line 1: expected community header",
+            id="argv48-files48-2-error: -line 1: expected community header"),
+        pytest.param(["profile", "bad.csv", "p.svg"], {"bad.csv": COMMUNITIES + "0,1,1,0,0,1\n"}, 2, DATA,
+            "line 2: expected 7 fields, got 6",
+            id="argv49-files49-2-error: -line 2: expected 7 fields, got 6"),
+        pytest.param(["profile", "bad.csv", "p.svg"], {"bad.csv": COMMUNITIES + "0,1,1,x,0,1,0\n"}, 2, DATA,
+            "line 2: could not convert string to float",
+            id="argv50-files50-2-error: -line 2: could not convert string to float"),
+        pytest.param(["profile", "bad.csv", "p.svg"], {"bad.csv": COMMUNITIES + "0,1,1,0,nan,1,0\n"}, 2, DATA,
+            "line 2: SC must be finite, got nan",
+            id="argv51-files51-2-error: -line 2: SC must be finite, got nan"),
+        pytest.param(["profile", "missing.csv", "p.svg"], {}, 2, DATA, "No such file or directory",
+            id="argv52-files52-2-error: -No such file or directory"),
         # the link-file flags, which metrics and repair share with detect
-        (["metrics", "links.txt", "cover.csv", "--coarsen", "0"], {}, 1, USAGE,
-         "argument --coarsen: must be a positive integer"),
-        (["repair", "links.txt", "cover.csv", "r.csv", "--coarsen", "0"], {}, 1, USAGE,
-         "argument --coarsen: must be a positive integer"),
+        pytest.param(["metrics", "links.txt", "cover.csv", "--coarsen", "0"], {}, 1, USAGE,
+            "argument --coarsen: must be a positive integer",
+            id="argv53-files53-1-usage: -argument --coarsen: must be a positive integer"),
+        pytest.param(["repair", "links.txt", "cover.csv", "r.csv", "--coarsen", "0"], {}, 1, USAGE,
+            "argument --coarsen: must be a positive integer",
+            id="argv54-files54-1-usage: -argument --coarsen: must be a positive integer"),
         # `_outputs`: an output that is a directory
-        (["detect", "links.txt", "."], {}, 1, "usage error: ", "output . is a directory"),
+        pytest.param(["detect", "links.txt", "."], {}, 1, "usage error: ", "output . is a directory",
+            id="argv55-files55-1-usage error: -output . is a directory"),
         # `_positive_int`: a value that is not an integer at all
-        (["detect", "links.txt", "c.csv", "--coarsen", "1.5"], {}, 1, USAGE,
-         "argument --coarsen: must be a positive integer"),
-        (SWEEP + ["--values", "1", "--seeds", "1", "--jobs", "x"], {}, 1, USAGE,
-         "argument --jobs: must be a positive integer"),
-        (["repair", "links.txt", "cover.csv", "r.csv", "--min-overlap", "x"], {}, 1, USAGE,
-         "argument --min-overlap: must be a positive integer"),
+        pytest.param(["detect", "links.txt", "c.csv", "--coarsen", "1.5"], {}, 1, USAGE,
+            "argument --coarsen: must be a positive integer",
+            id="argv56-files56-1-usage: -argument --coarsen: must be a positive integer"),
+        pytest.param(SWEEP + ["--values", "1", "--seeds", "1", "--jobs", "x"], {}, 1, USAGE,
+            "argument --jobs: must be a positive integer",
+            id="argv57-files57-1-usage: -argument --jobs: must be a positive integer"),
+        pytest.param(["repair", "links.txt", "cover.csv", "r.csv", "--min-overlap", "x"], {}, 1, USAGE,
+            "argument --min-overlap: must be a positive integer",
+            id="argv58-files58-1-usage: -argument --min-overlap: must be a positive integer"),
         # `_decimal`: numbers that int() reads but the package never writes
-        (["detect", "bad.txt", "c.csv", "--permissive"], {"bad.txt": "a \u0663 b 1_0\nb +2 a -0\n"}, 2,
-         DATA, "line 1: times must be integers"),
-        (["detect", "bad.txt", "c.csv", "--permissive"], {"bad.txt": "a 2 b 1\nb +2 a -0\n"}, 2, DATA,
-         "line 2: times must be integers"),
-        (["metrics", "links.txt", "bad.csv"], {"bad.csv": COVER.replace("b,1,", "b,+1,")}, 2, DATA,
-         "line 3: '+1' is not an integer in plain ASCII digits"),
-        (["repair", "links.txt", "bad.csv", "r.csv"], {"bad.csv": COVER.replace("a,2,0", "a,2,1_0")}, 2, DATA,
-         "line 2: '1_0' is not an integer in plain ASCII digits"),
-        (["profile", "bad.csv", "p.svg"], {"bad.csv": COMMUNITIES + "0,\uff11,1,0,0,1,0\n"}, 2, DATA,
-         "line 2: '\uff11' is not an integer in plain ASCII digits"),
+        pytest.param(["detect", "bad.txt", "c.csv", "--permissive"], {"bad.txt": "a \u0663 b 1_0\nb +2 a -0\n"}, 2,
+            DATA, "line 1: times must be integers",
+            id="argv59-files59-2-error: -line 1: times must be integers"),
+        pytest.param(["detect", "bad.txt", "c.csv", "--permissive"], {"bad.txt": "a 2 b 1\nb +2 a -0\n"}, 2, DATA,
+            "line 2: times must be integers",
+            id="argv60-files60-2-error: -line 2: times must be integers"),
+        pytest.param(["metrics", "links.txt", "bad.csv"], {"bad.csv": COVER.replace("b,1,", "b,+1,")}, 2, DATA,
+            "line 3: '+1' is not an integer in plain ASCII digits",
+            id="argv61-files61-2-error: -line 3: '+1' is not an integer in plain ASCII digits"),
+        pytest.param(["repair", "links.txt", "bad.csv", "r.csv"], {"bad.csv": COVER.replace("a,2,0", "a,2,1_0")}, 2, DATA,
+            "line 2: '1_0' is not an integer in plain ASCII digits",
+            id="argv62-files62-2-error: -line 2: '1_0' is not an integer in plain ASCII digits"),
+        pytest.param(["profile", "bad.csv", "p.svg"], {"bad.csv": COMMUNITIES + "0,\uff11,1,0,0,1,0\n"}, 2, DATA,
+            "line 2: '\uff11' is not an integer in plain ASCII digits",
+            id="argv63-files63-2-error: -line 2: '\uff11' is not an integer in plain ASCII digits"),
         # numbers longer than int() reads
-        (["detect", "bad.txt", "c.csv"], {"bad.txt": f"a 2 b 1\na {'1' * 5000} b 1\n"}, 2, DATA,
-         "line 2: Exceeds the limit (4300 digits)"),
-        (["generate", "bad.json", "x.txt"], {"bad.json": '{"n_c": ' + "1" * 5000 + "}"}, 1, CONFIG,
-         "invalid config JSON: Exceeds the limit (4300 digits)"),
+        pytest.param(["detect", "bad.txt", "c.csv"], {"bad.txt": f"a 2 b 1\na {'1' * 5000} b 1\n"}, 2, DATA,
+            "line 2: Exceeds the limit (4300 digits)",
+            id="argv64-files64-2-error: -line 2: Exceeds the limit (4300 digits)"),
+        pytest.param(["generate", "bad.json", "x.txt"], {"bad.json": '{"n_c": ' + "1" * 5000 + "}"}, 1, CONFIG,
+            "invalid config JSON: Exceeds the limit (4300 digits)",
+            id="argv65-files65-1-config error: -invalid config JSON: Exceeds the limit (4300 digits)"),
         # the integer flags, read by `_decimal`
-        (["detect", "links.txt", "c.csv", "--seed", "+2"], {}, 1, USAGE,
-         "argument --seed: invalid int value: '+2'"),
-        (SWEEP + ["--values", "0.5", "--seeds", "1_0"], {}, 1, CONFIG, "--seeds integers"),
-        (["detect", "links.txt", "c.csv", "--coarsen", "\u0663"], {}, 1, USAGE,
-         "argument --coarsen: must be a positive integer"),
-        (SWEEP + ["--values", "1", "--seeds", "1", "--jobs", "+2"], {}, 1, USAGE,
-         "argument --jobs: must be a positive integer"),
-        (["repair", "links.txt", "cover.csv", "r.csv", "--min-overlap", "1_0"], {}, 1, USAGE,
-         "argument --min-overlap: must be a positive integer"),
+        pytest.param(["detect", "links.txt", "c.csv", "--seed", "+2"], {}, 1, USAGE,
+            "argument --seed: invalid int value: '+2'",
+            id="argv66-files66-1-usage: -argument --seed: invalid int value: '+2'"),
+        pytest.param(SWEEP + ["--values", "0.5", "--seeds", "1_0"], {}, 1, CONFIG, "--seeds integers",
+            id="argv67-files67-1-config error: ---seeds integers"),
+        pytest.param(["detect", "links.txt", "c.csv", "--coarsen", "\u0663"], {}, 1, USAGE,
+            "argument --coarsen: must be a positive integer",
+            id="argv68-files68-1-usage: -argument --coarsen: must be a positive integer"),
+        pytest.param(SWEEP + ["--values", "1", "--seeds", "1", "--jobs", "+2"], {}, 1, USAGE,
+            "argument --jobs: must be a positive integer",
+            id="argv69-files69-1-usage: -argument --jobs: must be a positive integer"),
+        pytest.param(["repair", "links.txt", "cover.csv", "r.csv", "--min-overlap", "1_0"], {}, 1, USAGE,
+            "argument --min-overlap: must be a positive integer",
+            id="argv70-files70-1-usage: -argument --min-overlap: must be a positive integer"),
+        # config values that are not JSON numbers, or overflow a float
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(n_c="\u0663"), 1, CONFIG,
+            "non-numeric config value: n_c must be a number, got '\u0663'", id="config-n_c-arabic-digit"),
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(m="1_0"), 1, CONFIG,
+            "non-numeric config value: m must be a number, got '1_0'", id="config-m-underscore"),
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(t_max=" 5 "), 1, CONFIG,
+            "non-numeric config value: t_max must be a number", id="config-t_max-spaces"),
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(w="+3"), 1, CONFIG,
+            "non-numeric config value: w must be a number", id="config-w-plus"),
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(d="\uff12"), 1, CONFIG,
+            "non-numeric config value: d must be a number", id="config-d-full-width"),
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(p="0.5"), 1, CONFIG,
+            "non-numeric config value: p must be a number, got '0.5'", id="config-p-string"),
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(d=10**400), 1, CONFIG,
+            "config value out of range: int too large to convert to float", id="config-d-401-digits"),
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(p=-(10**400)), 1, CONFIG,
+            "config value out of range: int too large to convert to float", id="config-p-401-digits"),
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(n_c=10**400), 1, CONFIG,
+            "d*n must be a positive integer link count per timestep, got inf", id="config-n_c-401-digits"),
+        pytest.param(["sweep", "bad.json", "out", "--param", "d", "--values", "2", "--seeds", "1"], cfg(seed="1_0"),
+            1, CONFIG, "non-numeric config value: seed must be a number", id="sweep-config-seed-underscore"),
+        # `--values` items that float() reads but the package never writes
+        pytest.param(SWEEP[:4] + ["d", "--values", "\u0662,1_0", "--seeds", "1"], {}, 1, CONFIG,
+            "--values takes floats and --seeds integers", id="sweep-values-lax-digits"),
+        pytest.param(SWEEP + ["--values", "+0.5", "--seeds", "1"], {}, 1, CONFIG, "--values takes floats",
+            id="sweep-values-plus"),
+        pytest.param(SWEEP + ["--values", "0.5, \uff10.5", "--seeds", "1"], {}, 1, CONFIG, "--values takes floats",
+            id="sweep-values-full-width"),
     ],
 )
 def test_every_reachable_error_exits_cleanly(tmp_path, monkeypatch, capsys, argv, files, code, prefix, message):
@@ -1045,6 +1163,77 @@ def test_every_command_exits_cleanly_on_any_input(
         ]:
             text = (header + "\n") * headers + "".join(",".join(row) + "\n" for row in rows)
             (folder / name).write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse
+                assert exc.code == 1
+                code = 1
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+# Generator configs for the fuzz below: plain numbers, but for at most one
+# key, which is missing or holds a value that is no JSON number, a float
+# where an integer goes, or a 401-digit integer.  A large t_max is a valid
+# config that takes as long to generate as it says, so t_max never draws the
+# 401-digit ones.
+_CONFIG_PLAIN = {
+    "n_c": st.integers(2, 3),
+    "m": st.integers(2, 4),
+    "t_max": st.integers(1, 4),
+    "w": st.integers(1, 3),
+    "d": st.sampled_from([1, 2, 1.0]),
+    "p": st.sampled_from([0, 0.5, 1.0]),
+    "seed": st.integers(0, 2**70),
+}
+_config_odd = st.sampled_from(
+    ["3", "1_0", " 5 ", "+3", "\u0663", "\uff12", "nan", True, False, None, [1], {}, 2.5, -1, 0,
+     float("nan"), float("inf")]
+)
+_config_huge = st.sampled_from([10**400, -(10**400)])
+_MISSING = object()
+
+
+@st.composite
+def _config_texts(draw):
+    config = {key: draw(plain) for key, plain in _CONFIG_PLAIN.items()}
+    key = draw(st.one_of(st.none(), st.sampled_from(list(config))))
+    if key is not None:
+        odd = [_config_odd, st.just(_MISSING)] + ([_config_huge] if key != "t_max" else [])
+        config[key] = draw(st.one_of(odd))
+        if config[key] is _MISSING:
+            del config[key]
+    if draw(st.integers(0, 9)) == 0:
+        config["colour"] = 1
+    return json.dumps(config)
+
+
+def _sweep_list(plain, odd):
+    """One to three items, comma-joined, most of them plain."""
+    items = st.one_of(*[st.sampled_from(plain)] * 3, st.sampled_from(odd))
+    return st.lists(items, min_size=1, max_size=3).map(",".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    config=st.one_of(_config_texts(), st.sampled_from(["{", "[1]", "", '{"n_c": ' + "1" * 5000 + "}"])),
+    sweep=st.booleans(),
+    param=st.sampled_from(["p", "d"]),
+    values=_sweep_list(["0.5", "1", " 0.75 "],
+                       ["inf", "nan", "-1", "2", "1e400", "+1", "1_0", "\u0662", "\uff11", "x", ""]),
+    seeds=_sweep_list(["1", "2", " 3"], ["+2", "1_0", "\u0663", "x", ""]),
+)
+def test_generate_and_sweep_exit_cleanly_on_any_config(config, sweep, param, values, seeds):
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        (folder / "config.json").write_text(config, encoding="utf-8")
+        if sweep:
+            argv = ["sweep", str(folder / "config.json"), str(folder / "out"), "--param", param,
+                    "--values", values, "--seeds", seeds]
+        else:
+            argv = ["generate", str(folder / "config.json"), str(folder / "links.txt")]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             try:

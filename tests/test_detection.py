@@ -5,7 +5,8 @@ import io
 import random
 import re
 from collections import deque
-from itertools import combinations
+from itertools import chain, combinations
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,7 +136,8 @@ def disconnected_communities(view, cover):
         seen = {nodes[0]}
         stack = [nodes[0]]
         while stack:
-            for j, _ in view.adj[stack.pop()]:
+            i = stack.pop()
+            for j in view.targets[view.offsets[i] : view.offsets[i + 1]]:
                 if comm[j] == cid and j not in seen:
                     seen.add(j)
                     stack.append(j)
@@ -412,6 +414,17 @@ _triples = st.integers(1, 7).flatmap(
 )
 
 
+def fold_triples(k, triples):
+    """`_fold` of the triples ``(i, j, w)`` over ids ``0..k-1``."""
+    ends = chain(map(itemgetter(0), triples), map(itemgetter(1), triples))
+    return _fold(ends, map(itemgetter(2), triples), [0.0] * k)
+
+
+def rows_of(offsets, targets, weights):
+    """Each flat row's ``(target, weight)`` pairs as a list."""
+    return [list(zip(targets[lo:hi], weights[lo:hi])) for lo, hi in zip(offsets, offsets[1:])]
+
+
 @settings(max_examples=300)
 @given(_triples)
 def test_fold_matches_the_pair_dict_fold(case):
@@ -419,9 +432,10 @@ def test_fold_matches_the_pair_dict_fold(case):
     # self-loops, and ids that no triple names get empty rows.  Weights are
     # whole numbers, so every sum is exact in any order.
     k, triples = case
-    adj, self_w, degree = _fold(k, lambda: iter(triples))
-    assert adj.offsets[-1] == len(adj.targets) == len(adj.weights)
-    rows = [list(row) for row in adj]
+    offsets, targets, weights, self_w, degree = fold_triples(k, triples)
+    assert len(offsets) == k + 1
+    assert offsets[-1] == len(targets) == len(weights)
+    rows = rows_of(offsets, targets, weights)
     for oracle in (reference_fold, tuple_row_fold):
         ref_adj, ref_self_w, ref_degree = oracle(k, triples)
         assert rows == [sorted(row) for row in ref_adj]
@@ -433,11 +447,11 @@ def test_fold_matches_the_pair_dict_fold(case):
 @given(_triples, st.data())
 def test_fold_by_matches_the_fold_of_the_relabelled_triples(case, data):
     k, triples = case
-    adj, self_w, _ = _fold(k, lambda: iter(triples))
+    *rows, self_w, _ = fold_triples(k, triples)
     comm = _densify(data.draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k)))
-    folded, folded_self_w, folded_degree = _fold_by(adj, self_w, comm)
+    *folded, folded_self_w, folded_degree = _fold_by(*rows, self_w, comm)
     ref_adj, ref_self_w, ref_degree = reference_fold(max(comm) + 1, [(comm[i], comm[j], w) for i, j, w in triples])
-    assert [list(row) for row in folded] == [sorted(row) for row in ref_adj]
+    assert rows_of(*folded) == [sorted(row) for row in ref_adj]
     assert folded_self_w == ref_self_w
     assert folded_degree == ref_degree
 
@@ -465,12 +479,10 @@ def test_louvain_ignores_adjacency_order(monkeypatch, seed):
 
 def test_view_rows_read_as_pairs():
     view = ModularityView.from_temporal_graph(barbell_graph())
-    assert len(view.adj) == view.n_nodes == 6
-    assert view.adj[0] == ((1, 1.0), (2, 1.0), (3, 1.0))  # a1: a2, a3 and the bridge to b1
-    assert view.adj[-1] == view.adj[5] == ((3, 1.0), (4, 1.0))
-    assert list(view.adj)[0] == view.adj[0]
-    with pytest.raises(IndexError):
-        view.adj[6]
+    rows = list(view.adj)
+    assert len(rows) == view.n_nodes == 6
+    assert rows[0] == ((1, 1.0), (2, 1.0), (3, 1.0))  # a1: a2, a3 and the bridge to b1
+    assert rows[5] == ((3, 1.0), (4, 1.0))
 
 
 def test_cover_requires_contiguous_ids():

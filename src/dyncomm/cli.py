@@ -32,6 +32,7 @@ from .temporal_graph import (
     _decimal,
     _link_stream,
     _opened,
+    _real,
     _write_table,
     build_temporal_graph,
     write_links,
@@ -70,16 +71,6 @@ def _integer(text: str) -> int:
         return _decimal(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-
-
-def _real(text: str) -> float:
-    """The number that ``text`` writes in ASCII, with no ``+`` or ``_``.
-
-    ``float`` also reads those forms and the digits of other scripts.
-    """
-    if text.isascii() and "_" not in text and text[:1] != "+":
-        return float(text)
-    raise ValueError(f"{text!r} is not a number in plain ASCII")
 
 
 def _positive_int(text: str) -> int:
@@ -195,10 +186,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    (out,) = _outputs([args.links], args.out)
+    (out,) = _outputs([args.link_file], args.out)
     # No name holds the graph, so its links are freed before detection runs.
     view = ModularityView.from_temporal_graph(
-        _load_graph(args.links, args.permissive, args.coarsen)
+        _load_graph(args.link_file, args.permissive, args.coarsen)
     )
     if args.algo == "louvain":
         cover = louvain(view, seed=args.seed)
@@ -223,8 +214,8 @@ def _read_cover_checked(path: str) -> Cover:
 def cmd_metrics(args: argparse.Namespace) -> int:
     from .metrics import community_reports, node_reports, write_community_csv, write_node_csv
 
-    _outputs([args.links, args.cover], *filter(None, (args.community_out, args.node_out)))
-    tg = _load_graph(args.links, args.permissive, args.coarsen)
+    _outputs([args.link_file, args.cover], *filter(None, (args.community_out, args.node_out)))
+    tg = _load_graph(args.link_file, args.permissive, args.coarsen)
     cover = _read_cover_checked(args.cover)
     communities = community_reports(cover, tg)
     nodes = node_reports(cover, tg)
@@ -316,9 +307,9 @@ def cmd_repair(args: argparse.Namespace) -> int:
     from .repair import repair, write_trace
 
     out, trace_path = _outputs(
-        [args.links, args.cover], args.out, args.trace or f"{Path(args.out)}.trace.csv"
+        [args.link_file, args.cover], args.out, args.trace or f"{Path(args.out)}.trace.csv"
     )
-    tg = _load_graph(args.links, args.permissive, args.coarsen)
+    tg = _load_graph(args.link_file, args.permissive, args.coarsen)
     cover = _read_cover_checked(args.cover)
     repaired, steps = repair(cover, tg, min_overlap=args.min_overlap)
     write_cover(repaired, out)
@@ -334,7 +325,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     # The link-file input of detect, metrics and repair.
     graph = argparse.ArgumentParser(add_help=False)
-    graph.add_argument("links", help="input link file")
+    graph.add_argument("link_file", metavar="links", help="input link file")
     graph.add_argument("--coarsen", type=_positive_int, default=1, metavar="K")
     graph.add_argument("--permissive", action="store_true", help="allow target times newer than source")
 

@@ -11,12 +11,11 @@ from __future__ import annotations
 import random
 from array import array
 from collections import deque
-from itertools import accumulate, chain, repeat
-from operator import floordiv, itemgetter, mod, sub
+from itertools import accumulate
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .temporal_graph import TemporalGraph, TemporalNode, _decimal, _read_table, _write_table
+from .temporal_graph import TemporalGraph, TemporalNode, _decimal, _groups, _read_table, _write_table
 
 _EPS = 1e-12
 
@@ -104,16 +103,11 @@ class ModularityView(NamedTuple):
 
     @classmethod
     def from_temporal_graph(cls, tg: TemporalGraph) -> "ModularityView":
-        nodes, links = tg.nodes, tg.links
-        ends = chain(map(itemgetter(0), links), map(itemgetter(1), links))
-        # The ends' indices go as a temporary, which `_fold` frees once it has read them.
         offsets, targets, weights, self_w, degree = _fold(
-            list(map(dict(zip(nodes, range(len(nodes)))).__getitem__, ends)),
-            map(itemgetter(2), links),
-            [0.0] * len(nodes),
+            tg.sources, tg.targets, tg.weights, [0.0] * len(tg.nodes)
         )
         return cls(
-            nodes=nodes,
+            nodes=tg.nodes,
             offsets=offsets,
             targets=targets,
             weights=weights,
@@ -155,23 +149,19 @@ def _modularity(view: ModularityView, comm: list[int]) -> float:
 
 
 def _fold(
-    ends: Iterable[int], link_w: Iterable[float], self_w: list[float]
+    src: Sequence[int], dst: Sequence[int], link_w: Iterable[float], self_w: list[float]
 ) -> tuple[array, array, array, list[float], list[float]]:
     """Fold weighted links into ``(offsets, targets, weights, self_w, degree)``.
 
-    ``ends`` gives the source of every link, then the target of every link,
-    and ``link_w`` their weights, over ids ``0..len(self_w)-1``.  A link
+    Link ``l`` runs from ``src[l]`` to ``dst[l]`` over ids
+    ``0..len(self_w)-1``, and ``link_w`` gives the links' weights.  A link
     with equal ends is a self-loop, whose weight is added to ``self_w`` in
-    place.  The ends are read once.  The first pass counts each row's
-    half-edges and the second places them, at both ends.  Then each row is
-    sorted by target and the weights of one unordered pair are added up,
-    whichever way round they came, compacting the arrays in place.  Degree
-    counts a self-loop twice.
+    place.  The first pass counts each row's half-edges and the second
+    places them, at both ends.  Then each row is sorted by target and the
+    weights of one unordered pair are added up, whichever way round they
+    came, compacting the arrays in place.  Degree counts a self-loop twice.
     """
     k = len(self_w)
-    ends = array("i", ends)
-    src, dst = ends[: len(ends) // 2], ends[len(ends) // 2 :]
-    del ends
     count = [0] * k
     for i, j in zip(src, dst):
         if i != j:
@@ -195,7 +185,7 @@ def _fold(
             targets[at] = i
             weights[at] = w
             free[j] = at + 1
-    del free, src, dst
+    del free
     degree: list[float] = []
     append = degree.append
     end = 0
@@ -220,36 +210,48 @@ def _fold(
     return offsets, targets, weights, self_w, degree
 
 
-def _per_entry(offsets: array, labels: Iterable[int]) -> Iterator[int]:
-    """Row ``i``'s label, ``labels[i]``, once for each of its entries, in step with the targets."""
-    return chain.from_iterable(map(repeat, labels, map(sub, offsets[1:], offsets)))
-
-
 def _fold_by(
     offsets: array, targets: array, weights: array, self_w: Sequence[float], comm: list[int]
 ) -> tuple[array, array, array, list[float], list[float]]:
     """`_fold` of a level's self-loops and pairs, each end relabelled by ``comm``.
 
-    The weights of the pairs that join two communities are summed per pair
-    of communities first, so `_fold` lays out one link for each.
+    A pair inside one community adds to its self-loop.  The pairs that join
+    two communities are summed per pair of communities, so `_fold` lays out
+    one link for each.  `_groups` groups the nodes by community.  The rows
+    of one community's nodes add their weight to each higher community
+    in one flat list, which is zeroed again at the communities they touched,
+    as in `_one_level`.  The weights are sums of whole multiplicities, so
+    the order of the sums moves no bit.
     """
     k = max(comm) + 1
     loops = [0.0] * k
-    for ci, s in zip(comm, self_w):
-        loops[ci] += s
-    between: dict[int, float] = {}  # keyed c * k + d, with c < d
-    entries = zip(_per_entry(offsets, range(len(comm))), _per_entry(offsets, comm), targets, weights)
-    for i, ci, j, w in entries:
-        if j > i:  # each pair once
-            cj = comm[j]
-            if ci == cj:
-                loops[ci] += w
-            else:
-                key = ci * k + cj if ci < cj else cj * k + ci
-                between[key] = between.get(key, 0.0) + w
-    return _fold(
-        chain(map(floordiv, between, repeat(k)), map(mod, between, repeat(k))), between.values(), loops
-    )
+    for c, s in zip(comm, self_w):
+        loops[c] += s
+    members, ends = _groups(comm, k)
+    src, dst, between = array("i"), array("i"), array("d")
+    w_to = [0.0] * k
+    start = 0
+    for c, end in enumerate(ends):
+        near = []
+        for i in members[start:end]:
+            lo = offsets[i]
+            hi = offsets[i + 1]
+            for j, w in zip(targets[lo:hi], weights[lo:hi]):
+                cj = comm[j]
+                if cj > c:
+                    a = w_to[cj]
+                    if not a:  # weights are positive, as in `_one_level`
+                        near.append(cj)
+                    w_to[cj] = a + w
+                elif cj == c and j > i:  # each inner pair once
+                    loops[c] += w
+        for cj in near:
+            src.append(c)
+            dst.append(cj)
+            between.append(w_to[cj])
+            w_to[cj] = 0.0
+        start = end
+    return _fold(src, dst, between, loops)
 
 
 def _one_level(
@@ -269,12 +271,11 @@ def _one_level(
     is zeroed again at the communities it touched.
     """
     n = len(degree)
-    offsets = offsets.tolist()
     eps = _EPS
     comm = list(range(n))
     tot = list(degree)
     w_to = [0.0] * n  # weight from the popped node to each community, reset after each pop
-    queue = deque(rng.sample(range(n), n))
+    queue = deque(rng.sample(comm, n))  # the draws of `range(n)`, sharing comm's ints
     queued = [True] * n
     while queue:
         i = queue.popleft()
@@ -342,7 +343,7 @@ def louvain(view: ModularityView, seed: int = 0) -> Cover:
     offsets, targets, weights = view.offsets, view.targets, view.weights
     self_w, degree = view.self_weight, view.degree
     two_m = 2.0 * view.total_weight
-    assign = list(range(view.n_nodes))
+    assign = range(view.n_nodes)
     while True:
         dense = _densify(_one_level(offsets, targets, weights, degree, two_m, rng))
         assign = [dense[a] for a in assign]
@@ -359,7 +360,8 @@ def louvain(view: ModularityView, seed: int = 0) -> Cover:
 
 def _cover(view: ModularityView, comm: list[int]) -> Cover:
     """The cover with ``view.nodes[i]`` in community ``comm[i]``, ids densified."""
-    return Cover.from_assignment(dict(zip(view.nodes, comm)))
+    dense = _densify(comm)
+    return Cover(dict(zip(view.nodes, dense)), len(set(dense)))
 
 
 def _split(n: int, neighbors: Callable[[int], Iterable[int]]) -> list[int]:

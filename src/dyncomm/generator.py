@@ -28,6 +28,10 @@ PlantedAssignment = dict[str, int]
 # The config fields that take any real number; the others are integers.
 _REAL_FIELDS = ("d", "p")
 
+# The most links one config may make, d*n*t_max.  `generate` holds about 300
+# bytes per link (measured at 60k and 240k links), so about 1.5 GB at the cap.
+MAX_LINKS = 5_000_000
+
 
 class _GeneratorConfigFields(NamedTuple):
     n_c: int
@@ -74,6 +78,12 @@ class GeneratorConfig(_GeneratorConfigFields):
         if abs(per_step - whole) > 1e-9 or whole < 1:
             raise ConfigError(
                 f"d*n must be a positive integer link count per timestep, got {per_step}"
+            )
+        total = whole * self.t_max
+        if total > MAX_LINKS:
+            count = total if total < 10**18 else f"about 10**{math.floor(math.log10(total))}"
+            raise ConfigError(
+                f"the config makes d*n*t_max = {count} links, more than the {MAX_LINKS} allowed"
             )
         # Degenerate corners where a branch has no valid target: the intra
         # branch needs a community mate at t=1, the inter branch needs a

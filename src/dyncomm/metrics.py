@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import IO, Hashable, Iterable, Mapping, NamedTuple
 
 from .detection import Cover
-from .temporal_graph import TemporalGraph, TemporalNode, _decimal, _read_table, _write_table
+from .temporal_graph import TemporalGraph, TemporalNode, _decimal, _read_table, _real, _write_table
 
 COMMUNITY_HEADER = ["community", "z", "temporal_size", "NA", "SC", "HI", "internal_links"]
 NODE_HEADER = ["node", "lifetime", "membership", "CM", "CT"]
@@ -78,18 +78,20 @@ def community_reports(cover: Cover, tg: TemporalGraph) -> list[CommunityReport]:
     being node i's share of internal out-link weight, from [1/z, 1] to
     [0, 1]; it is 1 by convention when z = 1 or without internal links.
     """
-    cover.membership(tg.nodes)  # the cover must hold exactly the graph's nodes
+    nodes = tg.nodes
+    comm = cover.membership(nodes)
     internal = [0] * cover.n_communities
     selfs = [0] * cover.n_communities
     out_weight: list[Counter] = [Counter() for _ in range(cover.n_communities)]
-    for link in tg.links:
-        ca = cover.assignment[link.source]
-        if ca != cover.assignment[link.target]:
+    for i, j, w in zip(tg.sources, tg.targets, tg.weights):
+        ca = comm[i]
+        if ca != comm[j]:
             continue
-        internal[ca] += link.weight
-        out_weight[ca][link.source.node] += link.weight
-        if link.source.node == link.target.node:
-            selfs[ca] += link.weight
+        internal[ca] += w
+        label = nodes[i].node
+        out_weight[ca][label] += w
+        if label == nodes[j].node:
+            selfs[ca] += w
     reports = []
     for cid, group in enumerate(cover.communities()):
         z = len(set(tn.node for tn in group))
@@ -155,6 +157,7 @@ def write_node_csv(reports: Iterable[NodeReport], out: IO[str] | str | Path) -> 
 def read_community_csv(source: IO[str] | str | Path) -> list[CommunityReport]:
     """Read a community metrics CSV; errors name the offending line.
 
+    Numbers are read in the forms the package writes (`_decimal`, `_real`).
     A profile must be able to draw every row: NA, SC and HI must be finite,
     z at least 1, NA and SC within [0, 1], and no community id may repeat.
     HI is not range-checked, because its own formula can round past 1.
@@ -167,9 +170,9 @@ def read_community_csv(source: IO[str] | str | Path) -> list[CommunityReport]:
             community=_decimal(row[0]),
             z=_decimal(row[1]),
             temporal_size=_decimal(row[2]),
-            na=float(row[3]),
-            sc=float(row[4]),
-            hi=float(row[5]),
+            na=_real(row[3]),
+            sc=_real(row[4]),
+            hi=_real(row[5]),
             internal_links=_decimal(row[6]),
         )
         for name, value in zip(COMMUNITY_HEADER[3:6], (report.na, report.sc, report.hi)):

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import csv
 import io
+from array import array
 from collections import Counter
 from contextlib import contextmanager
-from itertools import chain
+from itertools import accumulate, compress
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 RawLink = tuple[tuple[str, int], tuple[str, int]]
 
@@ -48,16 +49,28 @@ class TemporalLink(NamedTuple):
 class TemporalGraph(NamedTuple):
     """Directed weighted graph over (node, timestep) vertices.
 
-    Link weights are raw-link multiplicities, so ``total_weight`` equals the
-    number of raw input links.  Immutable after construction.
+    Link ``l`` runs from ``nodes[sources[l]]`` to ``nodes[targets[l]]``, and
+    its weight ``weights[l]`` is its raw-link multiplicity, so
+    ``total_weight`` equals the number of raw input links.  The graph holds
+    its arrays, not copies: they must not be mutated.
     """
 
     nodes: tuple[TemporalNode, ...]
-    links: tuple[TemporalLink, ...]
+    sources: array
+    targets: array
+    weights: array
+
+    @property
+    def links(self) -> tuple[TemporalLink, ...]:
+        """Each link as a `TemporalLink` between node objects, built anew at each access."""
+        nodes = self.nodes
+        new = tuple.__new__  # skips the named tuple's Python-level __new__, once per link
+        links = zip(self.sources, self.targets, self.weights)
+        return tuple([new(TemporalLink, (nodes[i], nodes[j], w)) for i, j, w in links])
 
     @property
     def total_weight(self) -> int:
-        return sum(link.weight for link in self.links)
+        return sum(self.weights)
 
 
 def _decimal(text: str) -> int:
@@ -75,6 +88,17 @@ def _decimal(text: str) -> int:
         return int(text)
     int(text)  # int's own message for what is no integer at all
     raise ValueError(f"{text!r} is not an integer in plain ASCII digits")
+
+
+def _real(text: str) -> float:
+    """The number that ``text`` writes in ASCII, with no ``+``, ``_`` or space around it.
+
+    ``float`` also reads those forms and the digits of other scripts.  The
+    package writes real numbers with ``repr``, which uses none of them.
+    """
+    if text.isascii() and "_" not in text and text[:1] != "+" and text.strip() == text:
+        return float(text)
+    raise ValueError(f"{text!r} is not a number in plain ASCII")
 
 
 def _link_stream(lines: Iterable[str], permissive: bool, k: int) -> Iterator[RawLink]:
@@ -224,22 +248,51 @@ def write_links(links: Iterable[RawLink], out: IO[str] | str | Path) -> None:
         handle.write(text)
 
 
-def _assemble(
-    vertices: Iterable[tuple[str, int]],
-    weights: Mapping[RawLink, int],
-) -> TemporalGraph:
-    """The graph over distinct ``vertices`` (in order) with one link per weighted pair.
-
-    Each vertex becomes one `TemporalNode`, and every link endpoint is that
-    same object.
+def _groups(keys: Sequence[int], n: int) -> tuple[array, list[int]]:
+    """A stable counting sort of ``keys``, ids ``0..n-1``: their positions grouped
+    by key, and the end of each key's group in that order.
     """
-    nodes = {key: TemporalNode._make(key) for key in vertices}
-    # tuple.__new__ skips the named tuple's Python-level __new__, once per link.
-    new = tuple.__new__
-    links = tuple(
-        [new(TemporalLink, (nodes[src], nodes[dst], w)) for (src, dst), w in weights.items()]
+    count = Counter(keys)
+    ends = list(accumulate(map(count.__getitem__, range(n)), initial=0))  # each group's next slot
+    order = array("i", bytes(4 * len(keys)))
+    for at, key in enumerate(keys):
+        slot = ends[key]
+        order[slot] = at
+        ends[key] = slot + 1
+    ends.pop()  # the total, which the last group's end repeats
+    return order, ends
+
+
+def _distinct_pairs(src: array, dst: array, weights: array, n: int) -> tuple[array, array, array]:
+    """Each distinct ``(src[l], dst[l])`` pair once, in the order the pairs first
+    appear, with the sum of its lines' ``weights``.
+
+    Ids run over ``0..n-1`` and weights are positive.  `_groups` groups the
+    lines by source.  Within one source's lines, a target already marked
+    with that source is a repeated pair, whose weight moves onto the pair's
+    first line, in place in ``weights``.  One pass in line order then keeps
+    each line that still holds a weight.
+    """
+    order, ends = _groups(src, n)
+    last = [-1] * n  # the last source whose lines reached each target
+    first = [0] * n  # that source's first line to each target
+    start = 0
+    for i, end in enumerate(ends):
+        for line in order[start:end]:
+            j = dst[line]
+            if last[j] == i:
+                weights[first[j]] += weights[line]
+                weights[line] = 0
+            else:
+                last[j] = i
+                first[j] = line
+        start = end
+    del order, last, first
+    return (
+        array("i", compress(src, weights)),
+        array("i", compress(dst, weights)),
+        array(weights.typecode, filter(None, weights)),
     )
-    return TemporalGraph(nodes=tuple(nodes.values()), links=links)
 
 
 def build_temporal_graph(
@@ -254,11 +307,25 @@ def build_temporal_graph(
     before target, which keeps construction deterministic for a given input
     sequence.
     """
-    counts = Counter(raw_links)
-    vertices = dict.fromkeys(chain.from_iterable(counts))
+    index: dict[tuple[str, int], int] = {}  # each vertex's node id
+    get = index.get
+    sources, targets = array("i"), array("i")
+    add_source, add_target = sources.append, targets.append
+    for src, dst in raw_links:
+        i = get(src)
+        if i is None:
+            i = index[src] = len(index)
+        add_source(i)
+        i = get(dst)
+        if i is None:
+            i = index[dst] = len(index)
+        add_target(i)
     for label, t in isolated_nodes:
-        vertices.setdefault((label, t), None)
-    return _assemble(vertices, counts)
+        index.setdefault((label, t), len(index))
+    nodes = tuple(map(TemporalNode._make, index))
+    del index, get
+    ones = array("q", [1]) * len(sources)
+    return TemporalGraph(nodes, *_distinct_pairs(sources, targets, ones, len(nodes)))
 
 
 def coarsen_time(tg: TemporalGraph, k: int) -> TemporalGraph:
@@ -273,9 +340,12 @@ def coarsen_time(tg: TemporalGraph, k: int) -> TemporalGraph:
         raise ValueError("coarsening factor k must be >= 1")
     if k == 1:
         return tg
-    binned = {tn: (tn.node, tn.t // k) for tn in tg.nodes}
-    weights: dict[RawLink, int] = {}
-    for src, dst, w in tg.links:
-        key = (binned[src], binned[dst])
-        weights[key] = weights.get(key, 0) + w
-    return _assemble(dict.fromkeys(binned.values()), weights)
+    binned: dict[tuple[str, int], int] = {}
+    intern = binned.setdefault
+    relabel = [intern((tn.node, tn.t // k), len(binned)) for tn in tg.nodes]
+    nodes = tuple(map(TemporalNode._make, binned))
+    del binned, intern
+    sources = array("i", map(relabel.__getitem__, tg.sources))
+    targets = array("i", map(relabel.__getitem__, tg.targets))
+    del relabel
+    return TemporalGraph(nodes, *_distinct_pairs(sources, targets, tg.weights[:], len(nodes)))

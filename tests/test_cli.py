@@ -1086,6 +1086,24 @@ def cfg(**overrides):
             id="sweep-values-plus"),
         pytest.param(SWEEP + ["--values", "0.5, \uff10.5", "--seeds", "1"], {}, 1, CONFIG, "--values takes floats",
             id="sweep-values-full-width"),
+        # NA, SC and HI in forms that float() reads but the package never writes
+        pytest.param(["profile", "bad.csv", "p.svg"], {"bad.csv": COMMUNITIES + "0,2,3,\u0660.5,0,1,0\n"}, 2, DATA,
+            "line 2: '\u0660.5' is not a number in plain ASCII", id="profile-na-arabic-digit"),
+        pytest.param(["profile", "bad.csv", "p.svg"], {"bad.csv": COMMUNITIES + "0,2,3,0.5,+0.5,1,0\n"}, 2, DATA,
+            "line 2: '+0.5' is not a number in plain ASCII", id="profile-sc-plus"),
+        pytest.param(["profile", "bad.csv", "p.svg"],
+            {"bad.csv": COMMUNITIES + "0,2,3,0.5,0.5,1.0,0\n1,2,3,0.5,0.5,1_0,0\n"}, 2, DATA,
+            "line 3: '1_0' is not a number in plain ASCII", id="profile-hi-underscore"),
+        # configs that would make more links than `MAX_LINKS`
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(m=1e300), 1, CONFIG,
+            "the config makes d*n*t_max = about 10**302 links, more than the 5000000 allowed", id="config-m-1e300"),
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(t_max=10**400), 1, CONFIG,
+            "the config makes d*n*t_max = about 10**401 links, more than the 5000000 allowed",
+            id="config-t_max-401-digits"),
+        pytest.param(["generate", "bad.json", "x.txt"], cfg(t_max=83334), 1, CONFIG,
+            "the config makes d*n*t_max = 5000040 links, more than the 5000000 allowed", id="config-just-above-cap"),
+        pytest.param(SWEEP[:4] + ["d", "--values", "2,1e9", "--seeds", "1"], {}, 1, CONFIG,
+            "links, more than the 5000000 allowed", id="sweep-cell-above-cap"),
     ],
 )
 def test_every_reachable_error_exits_cleanly(tmp_path, monkeypatch, capsys, argv, files, code, prefix, message):
@@ -1116,7 +1134,7 @@ _FUZZ_ODD = ["+2", " 2", "1_0", "-0", "\u0663", "\uff11", "1" * 5000, "-" + "9" 
              "x", "", "#c", "\xe9", "a b", ",", '"', "\ufeffd"]
 _plain = st.integers(0, 3).map(str)
 _label = st.sampled_from("abc")
-_ratio = st.sampled_from(["0", "0.5", "1"])
+_ratio = st.one_of(*[st.sampled_from(["0", "0.5", "1", "1e-05"])] * 3, st.sampled_from(["+0.5", "\u0660.5", "1_0", " 1"]))
 _odd_row = st.lists(st.one_of(_plain, st.sampled_from(_FUZZ_ODD)), max_size=8)
 _FUZZ_COMMANDS = {
     "detect": ["detect", "links.txt", "out.csv"],
@@ -1176,9 +1194,8 @@ def test_every_command_exits_cleanly_on_any_input(
 
 # Generator configs for the fuzz below: plain numbers, but for at most one
 # key, which is missing or holds a value that is no JSON number, a float
-# where an integer goes, or a 401-digit integer.  A large t_max is a valid
-# config that takes as long to generate as it says, so t_max never draws the
-# 401-digit ones.
+# where an integer goes, or a huge number.  A config that would make more
+# than `MAX_LINKS` links is a config error, so a huge t_max or m ends at once.
 _CONFIG_PLAIN = {
     "n_c": st.integers(2, 3),
     "m": st.integers(2, 4),
@@ -1192,7 +1209,7 @@ _config_odd = st.sampled_from(
     ["3", "1_0", " 5 ", "+3", "\u0663", "\uff12", "nan", True, False, None, [1], {}, 2.5, -1, 0,
      float("nan"), float("inf")]
 )
-_config_huge = st.sampled_from([10**400, -(10**400)])
+_config_huge = st.sampled_from([10**400, -(10**400), 1e300])
 _MISSING = object()
 
 
@@ -1201,8 +1218,7 @@ def _config_texts(draw):
     config = {key: draw(plain) for key, plain in _CONFIG_PLAIN.items()}
     key = draw(st.one_of(st.none(), st.sampled_from(list(config))))
     if key is not None:
-        odd = [_config_odd, st.just(_MISSING)] + ([_config_huge] if key != "t_max" else [])
-        config[key] = draw(st.one_of(odd))
+        config[key] = draw(st.one_of(_config_odd, st.just(_MISSING), _config_huge))
         if config[key] is _MISSING:
             del config[key]
     if draw(st.integers(0, 9)) == 0:

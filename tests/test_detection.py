@@ -5,7 +5,7 @@ import io
 import random
 import re
 from collections import deque
-from itertools import chain, combinations
+from itertools import combinations
 from operator import itemgetter
 
 import pytest
@@ -416,8 +416,8 @@ _triples = st.integers(1, 7).flatmap(
 
 def fold_triples(k, triples):
     """`_fold` of the triples ``(i, j, w)`` over ids ``0..k-1``."""
-    ends = chain(map(itemgetter(0), triples), map(itemgetter(1), triples))
-    return _fold(ends, map(itemgetter(2), triples), [0.0] * k)
+    src, dst, link_w = [list(map(itemgetter(at), triples)) for at in range(3)]
+    return _fold(src, dst, link_w, [0.0] * k)
 
 
 def rows_of(offsets, targets, weights):
@@ -469,7 +469,9 @@ def test_louvain_ignores_adjacency_order(monkeypatch, seed):
     cfg = GeneratorConfig(n_c=4, m=6, t_max=12, w=10, d=3, p=0.8, seed=seed)
     tg = build_temporal_graph(generate(cfg)[0])
     view = ModularityView.from_temporal_graph(tg)
-    reversed_view = ModularityView.from_temporal_graph(tg._replace(links=tg.links[::-1]))
+    reversed_view = ModularityView.from_temporal_graph(
+        tg._replace(sources=tg.sources[::-1], targets=tg.targets[::-1], weights=tg.weights[::-1])
+    )
     assert list(reversed_view.adj) == list(view.adj)
     assert reversed_view == view
     cover = louvain(view, seed=seed)

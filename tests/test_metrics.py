@@ -24,7 +24,7 @@ from dyncomm import (
     write_community_csv,
     write_node_csv,
 )
-from dyncomm.metrics import read_community_csv
+from dyncomm.metrics import CommunityReport, read_community_csv
 
 from conftest import cover_of, pair_xor_dissimilarity, random_raw_links
 
@@ -358,3 +358,24 @@ def test_csv_round_trip():
     header, *rows = node_buffer.getvalue().strip().split("\n")
     assert header == "node,lifetime,membership,CM,CT"
     assert len(rows) == 2
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(_unit, _unit, st.floats(allow_nan=False, allow_infinity=False)), max_size=5))
+def test_community_csv_reads_back_every_float_it_writes(rows):
+    # The writer spells each float by repr (as 1e-05, 5e-324 or -0.0), and
+    # the strict reader takes every such spelling back to the same float.
+    reports = [CommunityReport(cid, 2, 3, na, sc, hi, 1) for cid, (na, sc, hi) in enumerate(rows)]
+    buffer = io.StringIO()
+    write_community_csv(reports, buffer)
+    assert read_community_csv(io.StringIO(buffer.getvalue())) == reports
+
+
+@pytest.mark.parametrize("text", ["+0.5", "\u0660.5", "0.\uff15", "1_0", " 0.5", "0.5 ", "\xa00.5"])
+def test_community_csv_rejects_reals_the_package_never_writes(text):
+    float(text)  # Python reads every one of them
+    with pytest.raises(ValueError, match=f"^line 2: {re.escape(repr(text))} is not a number in plain ASCII$"):
+        read_community_csv(io.StringIO(f"community,z,temporal_size,NA,SC,HI,internal_links\n0,2,3,0.5,0.5,{text},1\n"))

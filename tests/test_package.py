@@ -13,6 +13,7 @@ import re
 import shlex
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -146,6 +147,28 @@ def test_every_file_is_opened_in_one_place():
     assert outside == []
 
 
+def test_the_pipeline_reads_links_from_the_graphs_arrays():
+    # `TemporalGraph.links` builds one `TemporalLink` tuple per link at each
+    # access; no module reads it, so the pipeline holds no per-link objects.
+    properties, reads = [], []
+    for path in sorted((SRC / "dyncomm").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "TemporalGraph":
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == "links":
+                        properties.append(path.name)
+                        allowed = {id(sub) for sub in ast.walk(item)}
+        reads += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "links" and id(node) not in allowed
+        ]
+    assert properties == ["temporal_graph.py"]  # the guard sees the property itself
+    assert reads == []
+
+
 def test_every_module_level_import_is_used():
     # No linter runs on this tree, so this keeps a deletion from leaving a dead import behind.
     unused = []
@@ -209,7 +232,8 @@ def test_replace_validates_like_the_constructor():
     records = _records()
     with pytest.raises(ValueError, match="contiguous"):
         records["Cover"]._replace(n_communities=2)
-    assert records["TemporalGraph"]._replace(links=()).total_weight == 0
+    no_links = array("i")
+    assert records["TemporalGraph"]._replace(sources=no_links, targets=no_links, weights=no_links).total_weight == 0
     with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
         records["GeneratorConfig"]._replace(p=1.5)
     assert records["GeneratorConfig"]._replace(p=1.0).p == 1.0

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import io
 import random
+import tempfile
 from collections import Counter
+from itertools import chain
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +20,7 @@ from dyncomm import (
     parse_link_file,
     write_links,
 )
+from dyncomm.cli import _load_graph
 from dyncomm.temporal_graph import _decimal, _link_stream, _read_table
 
 from conftest import random_raw_links
@@ -170,6 +174,38 @@ def test_build_from_binned_links_matches_coarsen_time(raw, isolated, k):
     assert built.nodes == expected.nodes
     assert built.links == expected.links
     assert built.total_weight == expected.total_weight == len(raw)
+
+
+def counter_build(raw, isolated=()):
+    """The graph as a `Counter` of the raw pairs and `dict.fromkeys` of their
+    ends built it: ``(nodes, links)`` as plain tuples, both in first-appearance order."""
+    counts = Counter(raw)
+    nodes = dict.fromkeys(chain.from_iterable(counts))
+    nodes.update(dict.fromkeys(tuple(cell) for cell in isolated))
+    return list(nodes), [(src, dst, w) for (src, dst), w in counts.items()]
+
+
+def as_plain(tg: TemporalGraph):
+    """``(nodes, links)`` of ``tg`` as plain tuples, in the graph's order."""
+    nodes = [tuple(tn) for tn in tg.nodes]
+    return nodes, [(nodes[i], nodes[j], w) for i, j, w in zip(tg.sources, tg.targets, tg.weights)]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(_cells, _cells), max_size=40), st.lists(_cells, max_size=6), st.integers(1, 5))
+def test_every_build_keeps_the_counter_builds_order(raw, isolated, k):
+    # Order matters beyond equality: HI sums its squares in link order.
+    binned = [((src, ts // k), (dst, td // k)) for (src, ts), (dst, td) in raw]
+    binned_isolated = [(label, t // k) for label, t in isolated]
+    assert as_plain(build_temporal_graph(raw, isolated_nodes=isolated)) == counter_build(raw, isolated)
+    coarse = coarsen_time(build_temporal_graph(raw, isolated_nodes=isolated), k)
+    assert as_plain(coarse) == counter_build(binned, binned_isolated)
+    buffer = io.StringIO()
+    write_links(raw, buffer)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "links.txt"
+        path.write_text(buffer.getvalue(), encoding="utf-8")
+        assert as_plain(_load_graph(str(path), True, k)) == counter_build(binned)
 
 
 def test_link_endpoints_are_the_graph_node_objects():

@@ -103,9 +103,61 @@ class ModularityView(NamedTuple):
 
     @classmethod
     def from_temporal_graph(cls, tg: TemporalGraph) -> "ModularityView":
-        offsets, targets, weights, self_w, degree = _fold(
-            tg.sources, tg.targets, tg.weights, [0.0] * len(tg.nodes)
-        )
+        """The view of ``tg``'s links, each folded in at both its ends.
+
+        The first pass counts each row's half-edges and the second places
+        them; a link with equal ends adds to its node's self-loop instead.
+        Then each row is sorted by target and the weights of one unordered
+        pair are added up, whichever way round they came, compacting the
+        arrays in place.
+        """
+        src, dst = tg.sources, tg.targets
+        n = len(tg.nodes)
+        count = [0] * n
+        for i, j in zip(src, dst):
+            if i != j:
+                count[i] += 1
+                count[j] += 1
+        offsets = array("q", accumulate(count, initial=0))
+        del count
+        free = offsets.tolist()  # the next free slot of each row
+        targets = array("i", [0]) * offsets[-1]
+        weights = array("d", [0.0]) * offsets[-1]
+        self_w = [0.0] * n
+        for i, j, w in zip(src, dst, tg.weights):
+            if i == j:
+                self_w[i] += w
+            else:
+                at = free[i]
+                targets[at] = j
+                weights[at] = w
+                free[i] = at + 1
+                at = free[j]
+                targets[at] = i
+                weights[at] = w
+                free[j] = at + 1
+        del free
+        degree: list[float] = []
+        append = degree.append
+        end = 0
+        lo = 0
+        for i, (s, hi) in enumerate(zip(self_w, offsets[1:])):
+            offsets[i] = end
+            d = 2.0 * s
+            last = -1
+            for j, w in sorted(zip(targets[lo:hi], weights[lo:hi])):
+                d += w
+                if j == last:
+                    weights[end - 1] += w
+                else:
+                    targets[end] = j
+                    weights[end] = w
+                    end += 1
+                    last = j
+            append(d)
+            lo = hi
+        offsets[n] = end
+        del targets[end:], weights[end:]
         return cls(
             nodes=tg.nodes,
             offsets=offsets,
@@ -148,87 +200,26 @@ def _modularity(view: ModularityView, comm: list[int]) -> float:
     return sum(2.0 * w / two_m - (d / two_m) ** 2 for w, d in zip(internal, tot))
 
 
-def _fold(
-    src: Sequence[int], dst: Sequence[int], link_w: Iterable[float], self_w: list[float]
-) -> tuple[array, array, array, list[float], list[float]]:
-    """Fold weighted links into ``(offsets, targets, weights, self_w, degree)``.
-
-    Link ``l`` runs from ``src[l]`` to ``dst[l]`` over ids
-    ``0..len(self_w)-1``, and ``link_w`` gives the links' weights.  A link
-    with equal ends is a self-loop, whose weight is added to ``self_w`` in
-    place.  The first pass counts each row's half-edges and the second
-    places them, at both ends.  Then each row is sorted by target and the
-    weights of one unordered pair are added up, whichever way round they
-    came, compacting the arrays in place.  Degree counts a self-loop twice.
-    """
-    k = len(self_w)
-    count = [0] * k
-    for i, j in zip(src, dst):
-        if i != j:
-            count[i] += 1
-            count[j] += 1
-    offsets = array("q", accumulate(count, initial=0))
-    del count
-    free = offsets.tolist()  # the next free slot of each row
-    n = offsets[-1]
-    targets = array("i", [0]) * n
-    weights = array("d", [0.0]) * n
-    for i, j, w in zip(src, dst, link_w):
-        if i == j:
-            self_w[i] += w
-        else:
-            at = free[i]
-            targets[at] = j
-            weights[at] = w
-            free[i] = at + 1
-            at = free[j]
-            targets[at] = i
-            weights[at] = w
-            free[j] = at + 1
-    del free
-    degree: list[float] = []
-    append = degree.append
-    end = 0
-    lo = 0
-    for i, (s, hi) in enumerate(zip(self_w, offsets[1:])):
-        offsets[i] = end
-        d = 2.0 * s
-        last = -1
-        for j, w in sorted(zip(targets[lo:hi], weights[lo:hi])):
-            d += w
-            if j == last:
-                weights[end - 1] += w
-            else:
-                targets[end] = j
-                weights[end] = w
-                end += 1
-                last = j
-        append(d)
-        lo = hi
-    offsets[k] = end
-    del targets[end:], weights[end:]
-    return offsets, targets, weights, self_w, degree
-
-
 def _fold_by(
     offsets: array, targets: array, weights: array, self_w: Sequence[float], comm: list[int]
 ) -> tuple[array, array, array, list[float], list[float]]:
-    """`_fold` of a level's self-loops and pairs, each end relabelled by ``comm``.
+    """The rows, self-loops and degrees of a level, each node relabelled by ``comm``.
 
-    A pair inside one community adds to its self-loop.  The pairs that join
-    two communities are summed per pair of communities, so `_fold` lays out
-    one link for each.  `_groups` groups the nodes by community.  The rows
-    of one community's nodes add their weight to each higher community
-    in one flat list, which is zeroed again at the communities they touched,
-    as in `_one_level`.  The weights are sums of whole multiplicities, so
-    the order of the sums moves no bit.
+    `_groups` groups the nodes by community.  The rows of one community's
+    nodes add their weight to each community they reach in one flat list,
+    which is zeroed again at the communities they touched, as in
+    `_one_level`.  A pair inside the community is met from both its ends,
+    so half its community's sum adds to the self-loop; the other sums make
+    the community's row, sorted by target.  The weights are sums of whole
+    multiplicities, so the halving and the order of the sums move no bit.
     """
     k = max(comm) + 1
     loops = [0.0] * k
     for c, s in zip(comm, self_w):
         loops[c] += s
     members, ends = _groups(comm, k)
-    src, dst, between = array("i"), array("i"), array("d")
+    row_ends, row_targets, row_weights = array("q", [0]), array("i"), array("d")
+    degree: list[float] = []
     w_to = [0.0] * k
     start = 0
     for c, end in enumerate(ends):
@@ -238,20 +229,25 @@ def _fold_by(
             hi = offsets[i + 1]
             for j, w in zip(targets[lo:hi], weights[lo:hi]):
                 cj = comm[j]
-                if cj > c:
-                    a = w_to[cj]
-                    if not a:  # weights are positive, as in `_one_level`
-                        near.append(cj)
-                    w_to[cj] = a + w
-                elif cj == c and j > i:  # each inner pair once
-                    loops[c] += w
+                a = w_to[cj]
+                if not a:  # weights are positive, as in `_one_level`
+                    near.append(cj)
+                w_to[cj] = a + w
+        loops[c] += w_to[c] / 2
+        w_to[c] = 0.0
+        d = 2.0 * loops[c]
+        near.sort()
         for cj in near:
-            src.append(c)
-            dst.append(cj)
-            between.append(w_to[cj])
-            w_to[cj] = 0.0
+            if cj != c:
+                w = w_to[cj]
+                row_targets.append(cj)
+                row_weights.append(w)
+                d += w
+                w_to[cj] = 0.0
+        row_ends.append(len(row_targets))
+        degree.append(d)
         start = end
-    return _fold(src, dst, between, loops)
+    return row_ends, row_targets, row_weights, loops, degree
 
 
 def _one_level(

@@ -229,10 +229,9 @@ def read_assignment(source: Iterable[str] | str | Path) -> PlantedAssignment:
     assignment: PlantedAssignment = {}
     with _opened(source) as lines:
         for lineno, line in enumerate(lines, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+            fields = line.split()
+            if not fields or fields[0].startswith("#"):
                 continue
-            fields = stripped.split()
             if len(fields) != 2:
                 raise ValueError(f"line {lineno}: expected `label community_index`")
             label = fields[0]

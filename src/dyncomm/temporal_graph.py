@@ -112,10 +112,9 @@ def _link_stream(lines: Iterable[str], permissive: bool, k: int) -> Iterator[Raw
     vertex: dict[tuple[str, int], tuple[str, int]] = {}
     intern = vertex.setdefault
     for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = stripped.split()
         if len(fields) != 4:
             raise LinkParseError(
                 f"line {lineno}: expected 4 whitespace-separated fields, got {len(fields)}"

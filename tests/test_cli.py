@@ -179,7 +179,7 @@ def test_louvain_peak_stays_below_the_graph(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 0.75 * graph
+    assert peak <= 0.55 * graph
 
 
 def test_detect_strict_mode_rejects_future_targets(tmp_path, capsys):

@@ -4,6 +4,7 @@ import csv
 import io
 import random
 import re
+from array import array
 from collections import deque
 from itertools import combinations
 from operator import itemgetter
@@ -17,6 +18,7 @@ from dyncomm import (
     GeneratorConfig,
     GraphSizeError,
     ModularityView,
+    TemporalGraph,
     TemporalNode,
     UndefinedModularityError,
     brute_force_best,
@@ -29,7 +31,7 @@ from dyncomm import (
     read_cover,
     write_cover,
 )
-from dyncomm.detection import _densify, _fold, _fold_by
+from dyncomm.detection import _densify, _fold_by, _one_level
 
 from conftest import barbell_graph, cover_of, random_raw_links, triangle_sides, two_pairs_graph
 
@@ -415,9 +417,13 @@ _triples = st.integers(1, 7).flatmap(
 
 
 def fold_triples(k, triples):
-    """`_fold` of the triples ``(i, j, w)`` over ids ``0..k-1``."""
+    """The view's ``(offsets, targets, weights, self_weight, degree)`` of the
+    graph whose link ``(i, j, w)`` runs from node ``i`` to ``j``, ids ``0..k-1``."""
     src, dst, link_w = [list(map(itemgetter(at), triples)) for at in range(3)]
-    return _fold(src, dst, link_w, [0.0] * k)
+    nodes = tuple(TemporalNode(str(i), 0) for i in range(k))
+    tg = TemporalGraph(nodes, array("i", src), array("i", dst), array("d", link_w))
+    view = ModularityView.from_temporal_graph(tg)
+    return view.offsets, view.targets, view.weights, list(view.self_weight), list(view.degree)
 
 
 def rows_of(offsets, targets, weights):
@@ -454,6 +460,24 @@ def test_fold_by_matches_the_fold_of_the_relabelled_triples(case, data):
     assert rows_of(*folded) == [sorted(row) for row in ref_adj]
     assert folded_self_w == ref_self_w
     assert folded_degree == ref_degree
+
+
+def test_fold_by_lays_out_rows_as_the_view_build_does():
+    # The view build and `_fold_by` each lay out rows and degrees.  Under the
+    # identity membership they agree field for field, and a fold by one
+    # level's membership keeps the degrees summing to twice the total weight,
+    # which a wrong halving of the inner weight breaks.
+    cfg = GeneratorConfig(n_c=20, m=25, t_max=10, w=10, d=3, p=0.85, seed=1)
+    view = ModularityView.from_temporal_graph(build_temporal_graph(generate(cfg)[0]))
+    rows = view.offsets, view.targets, view.weights
+    offsets, targets, weights, self_w, degree = _fold_by(*rows, view.self_weight, list(range(view.n_nodes)))
+    assert [(a.typecode, a) for a in (offsets, targets, weights)] == [(a.typecode, a) for a in rows]
+    assert tuple(self_w) == view.self_weight
+    assert tuple(degree) == view.degree
+    comm = _densify(_one_level(*rows, view.degree, 2.0 * view.total_weight, random.Random(0)))
+    assert max(comm) + 1 < view.n_nodes
+    *_, folded_degree = _fold_by(*rows, view.self_weight, comm)
+    assert sum(folded_degree) == 2 * view.total_weight
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -159,7 +159,7 @@ def test_write_assignment_rejects_a_label_that_would_not_read_back(tmp_path, lab
 def test_read_assignment_errors_name_their_line():
     with pytest.raises(ValueError, match="^line 2: invalid literal"):
         read_assignment(["a 0", "b x"])
-    with pytest.raises(ValueError, match="^line 3: expected"):
-        read_assignment(["a 0", "# comment", "b"])
+    with pytest.raises(ValueError, match="^line 4: expected"):
+        read_assignment(["a 0", "# comment", "  # indented", "b"])
     with pytest.raises(ValueError, match="^line 2: duplicate label 'a'$"):
         read_assignment(["a 0", "a 1"])

@@ -38,7 +38,7 @@ def test_parse_two_links_preserves_order_and_duplicates():
 
 
 def test_parse_skips_comments_and_blank_lines():
-    raw = parse_link_file(["# header", "", "  ", "A 2 B 1"])
+    raw = parse_link_file(["# header", "", "  ", "  # indented", "\t", "\u2003", "A 2 B 1"])
     assert raw == [(("A", 2), ("B", 1))]
 
 

@@ -27,7 +27,6 @@ _EXPORTS = {
     "ModularityView": "detection",
     "NodeReport": "metrics",
     "TemporalGraph": "temporal_graph",
-    "TemporalLink": "temporal_graph",
     "TemporalNode": "temporal_graph",
     "UndefinedModularityError": "detection",
     "brute_force_best": "detection",

@@ -355,9 +355,10 @@ def louvain(view: ModularityView, seed: int = 0) -> Cover:
 
 
 def _cover(view: ModularityView, comm: list[int]) -> Cover:
-    """The cover with ``view.nodes[i]`` in community ``comm[i]``, ids densified."""
-    dense = _densify(comm)
-    return Cover(dict(zip(view.nodes, dense)), len(set(dense)))
+    """The cover with ``view.nodes[i]`` in community ``comm[i]``, whose ids the
+    caller numbers 0..k-1 in order of first appearance.
+    """
+    return Cover(dict(zip(view.nodes, comm)), len(set(comm)))
 
 
 def _split(n: int, neighbors: Callable[[int], Iterable[int]]) -> list[int]:

@@ -40,12 +40,6 @@ class TemporalNode(NamedTuple):
     t: int
 
 
-class TemporalLink(NamedTuple):
-    source: TemporalNode
-    target: TemporalNode
-    weight: int
-
-
 class TemporalGraph(NamedTuple):
     """Directed weighted graph over (node, timestep) vertices.
 
@@ -61,12 +55,10 @@ class TemporalGraph(NamedTuple):
     weights: array
 
     @property
-    def links(self) -> tuple[TemporalLink, ...]:
-        """Each link as a `TemporalLink` between node objects, built anew at each access."""
-        nodes = self.nodes
-        new = tuple.__new__  # skips the named tuple's Python-level __new__, once per link
-        links = zip(self.sources, self.targets, self.weights)
-        return tuple([new(TemporalLink, (nodes[i], nodes[j], w)) for i, j, w in links])
+    def links(self) -> tuple[tuple[TemporalNode, TemporalNode, int], ...]:
+        """Each link as a plain ``(source, target, weight)`` tuple, built anew at each access."""
+        ends = self.nodes.__getitem__
+        return tuple(zip(map(ends, self.sources), map(ends, self.targets), self.weights))
 
     @property
     def total_weight(self) -> int:
@@ -105,12 +97,8 @@ def _link_stream(lines: Iterable[str], permissive: bool, k: int) -> Iterator[Raw
     """Yield the raw links of ``lines`` one at a time, their times binned by ``t // k``.
 
     Each line is checked at its own times before it is binned, so ``k``
-    never hides a bad line; ``k = 1`` leaves the times as they are.  Equal
-    binned endpoints are one object, so each distinct (label, bin) is held
-    once however many lines name it.
+    never hides a bad line; ``k = 1`` leaves the times as they are.
     """
-    vertex: dict[tuple[str, int], tuple[str, int]] = {}
-    intern = vertex.setdefault
     for lineno, line in enumerate(lines, start=1):
         fields = line.split()
         if not fields or fields[0].startswith("#"):
@@ -144,20 +132,21 @@ def _link_stream(lines: Iterable[str], permissive: bool, k: int) -> Iterator[Raw
                 f"line {lineno}: target newer than source: "
                 f"({src_label},{src_time}) -> ({dst_label},{dst_time})"
             )
-        src = (src_label, src_time // k)
-        dst = (dst_label, dst_time // k)
-        yield intern(src, src), intern(dst, dst)
+        yield (src_label, src_time // k), (dst_label, dst_time // k)
 
 
 def parse_link_file(source: Iterable[str] | str | Path, *, permissive: bool = False) -> list[RawLink]:
     """Parse a link stream (a path, a handle or lines) into the ordered raw-link multiset.
 
     Each non-comment line holds ``src_label src_time dst_label dst_time``.
-    Duplicates are preserved.  A destination time may not exceed its
-    source time unless ``permissive``.
+    Duplicates are preserved, and equal endpoints are one object, so each
+    distinct (label, time) is held once however many lines name it.  A
+    destination time may not exceed its source time unless ``permissive``.
     """
+    vertex: dict[tuple[str, int], tuple[str, int]] = {}
+    intern = vertex.setdefault
     with _opened(source) as lines:
-        return list(_link_stream(lines, permissive, 1))
+        return [(intern(src, src), intern(dst, dst)) for src, dst in _link_stream(lines, permissive, 1)]
 
 
 @contextmanager
@@ -307,22 +296,16 @@ def build_temporal_graph(
     sequence.
     """
     index: dict[tuple[str, int], int] = {}  # each vertex's node id
-    get = index.get
+    number = index.setdefault
     sources, targets = array("i"), array("i")
     add_source, add_target = sources.append, targets.append
     for src, dst in raw_links:
-        i = get(src)
-        if i is None:
-            i = index[src] = len(index)
-        add_source(i)
-        i = get(dst)
-        if i is None:
-            i = index[dst] = len(index)
-        add_target(i)
+        add_source(number(src, len(index)))
+        add_target(number(dst, len(index)))
     for label, t in isolated_nodes:
-        index.setdefault((label, t), len(index))
+        number((label, t), len(index))
     nodes = tuple(map(TemporalNode._make, index))
-    del index, get
+    del index, number
     ones = array("q", [1]) * len(sources)
     return TemporalGraph(nodes, *_distinct_pairs(sources, targets, ones, len(nodes)))
 
@@ -335,8 +318,8 @@ def coarsen_time(tg: TemporalGraph, k: int) -> TemporalGraph:
     order, the order a rebuild from the binned raw links would give.
     ``k = 1`` is the identity.
     """
-    if k < 1:
-        raise ValueError("coarsening factor k must be >= 1")
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"coarsening factor k must be an integer >= 1, got {k!r}")
     if k == 1:
         return tg
     binned: dict[tuple[str, int], int] = {}

@@ -255,9 +255,9 @@ def test_girvan_newman_splits_barbell_at_the_bridge():
     tg = barbell_graph()
     view = ModularityView.from_temporal_graph(tg)
     adj = {tn: set() for tn in tg.nodes}
-    for link in tg.links:
-        adj[link.source].add(link.target)
-        adj[link.target].add(link.source)
+    for src, dst, _ in tg.links:
+        adj[src].add(dst)
+        adj[dst].add(src)
     bw = exhaustive_edge_betweenness(adj)
     bridge = (TemporalNode("a1", 0), TemporalNode("b1", 0))
     assert max(bw, key=bw.get) == bridge
@@ -314,6 +314,26 @@ def test_brute_force_path_of_three_edges_and_louvain_match():
     assert q == pytest.approx(1 / 6, abs=1e-12)
     assert cover.n_communities == 2
     assert modularity(view, louvain(view, seed=0)) == pytest.approx(q, abs=1e-12)
+
+
+def test_covers_number_communities_in_order_of_first_appearance():
+    # `_cover` keeps the ids it is given, so each detector must hand it dense,
+    # first-appearance ids.
+    views = [ModularityView.from_temporal_graph(tg) for tg in (barbell_graph(), two_pairs_graph())]
+    views.append(view_of([(("a", 0), ("b", 0)), (("b", 0), ("c", 0)), (("c", 0), ("d", 0))]))
+    views.append(view_of([(("a", 1), ("b", 1)), (("c", 1), ("c", 0))], isolated=[("e", 2)]))
+    rng = random.Random(53)
+    while len(views) < 8:
+        raw, cells = random_raw_links(rng, rng.randint(4, 8), rng.randint(3, 12))
+        view = view_of(raw, isolated=cells)
+        if view.total_weight > 0 and view.n_nodes <= 9:
+            views.append(view)
+    for view in views:
+        covers = [louvain(view, seed) for seed in range(3)]
+        covers += [girvan_newman(view), brute_force_best(view)[0]]
+        for cover in covers:
+            m = cover.membership(view.nodes)
+            assert _densify(m) == m
 
 
 def test_brute_force_size_guard():

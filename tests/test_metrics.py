@@ -243,15 +243,15 @@ def graphs_with_covers(draw):
 def direct_metrics(group, tg):
     """(z, NA, SC, HI) of one community, each from its definition."""
     inside = set(group)
-    links = [link for link in tg.links if link.source in inside and link.target in inside]
+    links = [(src, dst, w) for src, dst, w in tg.links if src in inside and dst in inside]
     z = len({member.node for member in group})
-    total = sum(link.weight for link in links)
+    total = sum(w for _, _, w in links)
     if total == 0:
         return z, float(1 - Fraction(z, len(group))), 0.0, 1.0
-    sc = sum(link.weight for link in links if link.source.node == link.target.node) / total
+    sc = sum(w for src, dst, w in links if src.node == dst.node) / total
     shares = Counter()
-    for link in links:
-        shares[link.source.node] += link.weight / total
+    for src, _, w in links:
+        shares[src.node] += w / total
     h = 1 / (z * sum(share * share for share in shares.values()))
     hi = 1.0 if z == 1 else (h - 1 / z) / (1 - 1 / z)
     return z, float(1 - Fraction(z, len(group))), sc, hi

@@ -148,8 +148,8 @@ def test_every_file_is_opened_in_one_place():
 
 
 def test_the_pipeline_reads_links_from_the_graphs_arrays():
-    # `TemporalGraph.links` builds one `TemporalLink` tuple per link at each
-    # access; no module reads it, so the pipeline holds no per-link objects.
+    # `TemporalGraph.links` builds one `(source, target, weight)` tuple per link
+    # at each access; no module reads it, so the pipeline holds no per-link objects.
     properties, reads = [], []
     for path in sorted((SRC / "dyncomm").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -189,6 +189,34 @@ def test_every_module_level_import_is_used():
                     if bound not in named:
                         unused.append(f"{path.name}:{node.lineno} {bound}")
     assert unused == []
+
+
+def test_every_module_level_private_name_is_used():
+    # Keeps a simplification from leaving a private helper, class or constant behind.
+    defined, loaded = [], set()
+    for path in sorted((SRC / "dyncomm").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [sub.id for target in targets for sub in ast.walk(target)
+                         if isinstance(sub, ast.Name)]
+            else:
+                continue
+            defined += [
+                (path.name, node.lineno, name)
+                for name in names
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    assert defined  # the guard sees the private names
+    assert [f"{file}:{line} {name}" for file, line, name in defined if name not in loaded] == []
 
 
 def test_each_export_names_the_module_that_defines_it():

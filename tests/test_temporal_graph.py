@@ -75,7 +75,6 @@ def test_parse_holds_each_endpoint_once():
     assert held_once(raw)
     binned = list(_link_stream(lines, True, 2))
     assert binned == [((src, ts // 2), (dst, td // 2)) for (src, ts), (dst, td) in raw]
-    assert held_once(binned)
     with pytest.raises(LinkParseError, match="line 3"):
         parse_link_file(["A 2 B 1", "A 2 B 1", "A 2 B"])
 
@@ -95,7 +94,7 @@ def test_build_aggregates_duplicate_links_into_weight():
     tg = build_temporal_graph([(("A", 2), ("B", 1))] * 2)
     assert len(tg.nodes) == 2
     assert len(tg.links) == 1
-    assert tg.links[0].weight == 2
+    assert tg.links[0][2] == 2
     assert tg.total_weight == 2
 
 
@@ -123,7 +122,7 @@ def test_coarsen_merges_colliding_years():
     tg = build_temporal_graph([(("A", 1981), ("A", 1980))])
     merged = coarsen_time(tg, 2)
     assert set(merged.nodes) == {TemporalNode("A", 990)}
-    assert merged.links[0].source == merged.links[0].target
+    assert merged.links[0][0] == merged.links[0][1]
     assert merged.total_weight == 1
 
 
@@ -133,7 +132,7 @@ def test_coarsen_collapses_opposed_links_onto_one_pair():
     merged = coarsen_time(tg, 4)
     assert set(merged.nodes) == {TemporalNode("A", 0), TemporalNode("B", 0)}
     assert len(merged.links) == 1
-    assert merged.links[0].weight == 2
+    assert merged.links[0][2] == 2
 
 
 def reference_coarsen(tg: TemporalGraph, k: int) -> TemporalGraph:
@@ -141,13 +140,9 @@ def reference_coarsen(tg: TemporalGraph, k: int) -> TemporalGraph:
     if k == 1:
         return tg
     raw = []
-    for link in tg.links:
-        mapped = (
-            (link.source.node, link.source.t // k),
-            (link.target.node, link.target.t // k),
-        )
-        raw.extend([mapped] * link.weight)
-    endpoint_nodes = {tn for link in tg.links for tn in (link.source, link.target)}
+    for src, dst, w in tg.links:
+        raw.extend([((src.node, src.t // k), (dst.node, dst.t // k))] * w)
+    endpoint_nodes = {tn for src, dst, _ in tg.links for tn in (src, dst)}
     isolated = [(tn.node, tn.t // k) for tn in tg.nodes if tn not in endpoint_nodes]
     return build_temporal_graph(raw, isolated_nodes=isolated)
 
@@ -217,15 +212,30 @@ def test_link_endpoints_are_the_graph_node_objects():
             node_ids = {id(tn) for tn in graph.nodes}
             assert len(node_ids) == len(graph.nodes)
             assert all(type(tn) is TemporalNode for tn in graph.nodes)
-            assert all(
-                id(link.source) in node_ids and id(link.target) in node_ids for link in graph.links
-            )
+            assert all(id(src) in node_ids and id(dst) in node_ids for src, dst, _ in graph.links)
 
 
 def test_coarsen_rejects_zero():
     tg = build_temporal_graph([(("A", 1), ("B", 1))])
     with pytest.raises(ValueError):
         coarsen_time(tg, 0)
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0])
+def test_coarsen_rejects_a_k_that_is_not_an_integer(k):
+    # A float k would bin to float times, which `write_cover` writes and `read_cover` rejects.
+    tg = build_temporal_graph([(("A", 3), ("B", 1))])
+    with pytest.raises(ValueError, match="coarsening factor k must be an integer"):
+        coarsen_time(tg, k)
+
+
+def test_build_rejects_a_raw_link_that_is_not_a_pair_of_cells():
+    with pytest.raises(ValueError):
+        build_temporal_graph([(("A", 2), ("B", 1), ("C", 0))])
+    with pytest.raises(ValueError):
+        build_temporal_graph([(("A", 2),)])
+    with pytest.raises(TypeError):
+        build_temporal_graph([(("A", 2, 0), ("B", 1))])
 
 
 def test_isolated_nodes_only_when_declared():

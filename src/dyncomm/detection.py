@@ -48,6 +48,9 @@ class Cover(_CoverFields):
     __slots__ = ()
 
     def __new__(cls, assignment: Mapping[TemporalNode, int], n_communities: int) -> "Cover":
+        # `bool` is an `int`, and False == 0, so the range check alone would take it.
+        if not set(map(type, assignment.values())) <= {int}:
+            raise ValueError("community ids must be ints")
         if set(assignment.values()) != set(range(n_communities)):
             raise ValueError("community ids must be contiguous from 0")
         return super().__new__(cls, assignment, n_communities)

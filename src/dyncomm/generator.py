@@ -12,7 +12,7 @@ import json
 import math
 import random
 from pathlib import Path
-from typing import IO, Iterable, Mapping, NamedTuple
+from typing import IO, Iterable, NamedTuple
 
 from .temporal_graph import (
     SWEEPABLE_PARAMETERS,
@@ -31,6 +31,16 @@ _REAL_FIELDS = ("d", "p")
 # The most links one config may make, d*n*t_max.  `generate` holds about 300
 # bytes per link (measured at 60k and 240k links), so about 1.5 GB at the cap.
 MAX_LINKS = 5_000_000
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object's pairs as a dict; a repeated key is a config error."""
+    data: dict[str, object] = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"duplicate config key: {key!r}")
+        data[key] = value
+    return data
 
 
 class _GeneratorConfigFields(NamedTuple):
@@ -57,7 +67,19 @@ class GeneratorConfig(_GeneratorConfigFields):
     def __new__(
         cls, n_c: int, m: int, t_max: int, w: int, d: float, p: float, seed: int
     ) -> "GeneratorConfig":
-        self = super().__new__(cls, n_c, m, t_max, w, d, p, seed)
+        values = (n_c, m, t_max, w, d, p, seed)
+        # Only numbers: int() and float() would quietly take true as 1,
+        # cut 2.7 to 2 and read strings such as "1_0" or "٣".
+        for key, value in zip(cls._fields, values):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"non-numeric config value: {key} must be a number, got {value!r}")
+            if key not in _REAL_FIELDS and isinstance(value, float) and not value.is_integer():
+                raise ConfigError(f"config value {key} must be an integer, got {value!r}")
+        try:
+            values = [float(v) if key in _REAL_FIELDS else int(v) for key, v in zip(cls._fields, values)]
+        except OverflowError as exc:  # an integer too large for a float
+            raise ConfigError(f"config value out of range: {exc}") from None
+        self = super().__new__(cls, *values)
         if self.n_c < 1 or self.m < 1:
             raise ConfigError("n_c and m must be positive")
         if self.t_max < 1:
@@ -107,42 +129,23 @@ class GeneratorConfig(_GeneratorConfigFields):
         return round(self.d * self.n)
 
     @classmethod
-    def from_mapping(cls, data: Mapping[str, object]) -> "GeneratorConfig":
+    def from_json_file(cls, path: str | Path) -> "GeneratorConfig":
+        with _opened(path) as handle:
+            try:
+                data = json.load(handle, object_pairs_hook=_unique_keys)
+            except (UnicodeDecodeError, ConfigError):
+                raise  # `_opened` names its line; `_unique_keys` names its key
+            except ValueError as exc:  # bad JSON, or an integer with more digits than int() reads
+                raise ConfigError(f"invalid config JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigError("config JSON must be an object")
         missing = set(cls._fields) - set(data)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         unknown = set(data) - set(cls._fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        # Only JSON numbers: int() and float() would quietly take true as 1,
-        # cut 2.7 to 2 and read strings such as "1_0" or "٣".
-        for key in cls._fields:
-            value = data[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"non-numeric config value: {key} must be a number, got {value!r}")
-            if key not in _REAL_FIELDS and isinstance(value, float) and not value.is_integer():
-                raise ConfigError(f"config value {key} must be an integer, got {value!r}")
-        try:
-            values = {
-                key: float(data[key]) if key in _REAL_FIELDS else int(data[key])
-                for key in cls._fields
-            }
-        except OverflowError as exc:  # an integer too large for a float
-            raise ConfigError(f"config value out of range: {exc}") from None
-        return cls(**values)
-
-    @classmethod
-    def from_json_file(cls, path: str | Path) -> "GeneratorConfig":
-        with _opened(path) as handle:
-            try:
-                data = json.load(handle)
-            except UnicodeDecodeError:
-                raise  # `_opened` names its line
-            except ValueError as exc:  # bad JSON, or an integer with more digits than int() reads
-                raise ConfigError(f"invalid config JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise ConfigError("config JSON must be an object")
-        return cls.from_mapping(data)
+        return cls(**data)
 
 
 def planted_assignment(config: GeneratorConfig) -> PlantedAssignment:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyncomm import (
+    ConfigError,
     GeneratorConfig,
     ModularityView,
     build_temporal_graph,
@@ -1104,6 +1105,9 @@ def cfg(**overrides):
             "the config makes d*n*t_max = 5000040 links, more than the 5000000 allowed", id="config-just-above-cap"),
         pytest.param(SWEEP[:4] + ["d", "--values", "2,1e9", "--seeds", "1"], {}, 1, CONFIG,
             "links, more than the 5000000 allowed", id="sweep-cell-above-cap"),
+        # a key given twice would otherwise take its last value
+        pytest.param(["generate", "bad.json", "x.txt"], {"bad.json": json.dumps(BASE_CONFIG)[:-1] + ', "seed": 7}'},
+            1, CONFIG, "duplicate config key: 'seed'", id="config-duplicate-key"),
     ],
 )
 def test_every_reachable_error_exits_cleanly(tmp_path, monkeypatch, capsys, argv, files, code, prefix, message):
@@ -1259,3 +1263,23 @@ def test_generate_and_sweep_exit_cleanly_on_any_config(config, sweep, param, val
                 code = 1
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mapping=st.fixed_dictionaries(
+        {key: st.one_of(plain, _config_odd, _config_huge) for key, plain in _CONFIG_PLAIN.items()}
+    )
+)
+def test_the_constructor_checks_a_config_as_its_json_file_does(mapping):
+    def outcome(make):
+        try:
+            return make()
+        except ConfigError as exc:
+            return str(exc)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(mapping), encoding="utf-8")
+        from_file = outcome(lambda: GeneratorConfig.from_json_file(path))
+    assert outcome(lambda: GeneratorConfig(**mapping)) == from_file

@@ -539,6 +539,13 @@ def test_cover_requires_contiguous_ids():
     assert dense.assignment[TemporalNode("a", 1)] == 0
 
 
+@pytest.mark.parametrize("ids", [(False, True), (0.0, 1), (0, 1.0)])
+def test_cover_rejects_community_ids_that_are_not_ints(ids):
+    # False == 0 and 0.0 == 0, so each would pass as contiguous and write back as `False` or `0.0`.
+    with pytest.raises(ValueError, match="community ids must be ints"):
+        Cover(dict(zip([TemporalNode("a", 1), TemporalNode("b", 1)], ids)), 2)
+
+
 _tn_labels = st.text(alphabet='ab, "x', min_size=1, max_size=3)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import json
 
 import pytest
 
@@ -86,6 +87,10 @@ def test_fractional_d_must_give_integer_link_count():
         dict(n_c=0),
         dict(m=1),  # p > 0 with single-member communities
         dict(n_c=1, m=20, p=0.5),  # inter branch has no target
+        dict(n_c=2.5, m=2),  # n = 5 would pass the link-count check
+        dict(t_max=True),
+        dict(p=True),
+        dict(m="4"),
     ],
 )
 def test_invalid_configs_rejected(overrides):
@@ -99,15 +104,20 @@ def test_single_community_allowed_when_fully_intra():
     assert len(links) == 1200
 
 
-def test_from_mapping_validates_keys_and_types():
-    cfg = GeneratorConfig.from_mapping(BASE)
-    assert cfg == config()
+def test_config_checks_keys_in_its_json_file_and_types_when_built(tmp_path):
+    path = tmp_path / "config.json"
+
+    def from_json(data):
+        path.write_text(json.dumps(data))
+        return GeneratorConfig.from_json_file(path)
+
+    assert from_json(BASE) == config()
     with pytest.raises(ConfigError, match="missing"):
-        GeneratorConfig.from_mapping({"n_c": 4})
+        from_json({"n_c": 4})
     with pytest.raises(ConfigError):
-        GeneratorConfig.from_mapping({**BASE, "d": "three"})
+        config(d="three")
     with pytest.raises(ConfigError, match=r"unknown config keys: \['colour', 't_mx'\]"):
-        GeneratorConfig.from_mapping({**BASE, "t_mx": 50, "colour": "red"})
+        from_json({**BASE, "t_mx": 50, "colour": "red"})
 
 
 def test_sweep_over_p_yields_one_dataset_per_cell():

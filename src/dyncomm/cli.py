@@ -33,6 +33,7 @@ from .temporal_graph import (
     _link_stream,
     _opened,
     _real,
+    _sum_in_order,
     _write_table,
     build_temporal_graph,
     write_links,
@@ -257,9 +258,9 @@ def _sweep_cell_job(payload: tuple[GeneratorConfig, float, int, list[Path]]) -> 
         seed,
         cover.n_communities,
         d,
-        sum(r.na for r in reports) / k,
-        sum(r.sc for r in reports) / k,
-        sum(r.hi for r in reports) / k,
+        _sum_in_order(r.na for r in reports) / k,
+        _sum_in_order(r.sc for r in reports) / k,
+        _sum_in_order(r.hi for r in reports) / k,
         sum(r.z for r in reports) / k,
     )
 

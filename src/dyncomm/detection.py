@@ -15,7 +15,15 @@ from itertools import accumulate
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .temporal_graph import TemporalGraph, TemporalNode, _decimal, _groups, _read_table, _write_table
+from .temporal_graph import (
+    TemporalGraph,
+    TemporalNode,
+    _decimal,
+    _groups,
+    _read_table,
+    _sum_in_order,
+    _write_table,
+)
 
 _EPS = 1e-12
 
@@ -200,7 +208,7 @@ def _modularity(view: ModularityView, comm: list[int]) -> float:
     """
     *_, internal, tot = _fold_by(view.offsets, view.targets, view.weights, view.self_weight, comm)
     two_m = 2.0 * view.total_weight
-    return sum(2.0 * w / two_m - (d / two_m) ** 2 for w, d in zip(internal, tot))
+    return _sum_in_order(2.0 * w / two_m - (d / two_m) ** 2 for w, d in zip(internal, tot))
 
 
 def _fold_by(

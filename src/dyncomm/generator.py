@@ -162,32 +162,60 @@ def generate(config: GeneratorConfig) -> tuple[list[RawLink], PlantedAssignment]
     time drawn uniformly over {max(1, t-w), ..., t}.  A draw equal to the
     emitting temporal node itself is rejected and redrawn, so a node never
     cites its own instant.
+
+    Each integer below a bound b is drawn the way ``Random.randrange(b)``
+    and ``randint`` draw it on CPython 3.11-3.13: ``getrandbits(b.bit_length())``
+    until the value is below b.  So a seed consumes the same stream, and
+    gives the same links, as calls to ``randrange`` and ``randint`` would.
     """
     rng = random.Random(config.seed)
-    n, m = config.n, config.m
+    bits, uniform = rng.getrandbits, rng.random
+    n, m, p = config.n, config.m, config.p
+    # `others` is only drawn below when p < 1, where the config requires
+    # n_c >= 2, so it is at least 1: a bound of 0 would loop for ever, as
+    # getrandbits(0) is always 0.
+    others = n - m
+    n_bits, m_bits, others_bits = n.bit_length(), m.bit_length(), others.bit_length()
     labels = [str(i) for i in range(n)]
     links: list[RawLink] = []
+    append = links.append
     for t in range(1, config.t_max + 1):
         lo = max(1, t - config.w)
+        width = t - lo + 1
+        width_bits = width.bit_length()
         for _ in range(config.links_per_step):
-            src = rng.randrange(n)
+            src = bits(n_bits)
+            while src >= n:
+                src = bits(n_bits)
             block = (src // m) * m
-            if rng.random() < config.p:
-                tgt = block + rng.randrange(m)
+            if uniform() < p:
+                tgt = bits(m_bits)
+                while tgt >= m:
+                    tgt = bits(m_bits)
+                tgt += block
             else:
-                tgt = rng.randrange(n - m)
+                tgt = bits(others_bits)
+                while tgt >= others:
+                    tgt = bits(others_bits)
                 if tgt >= block:
                     tgt += m
-            t2 = rng.randint(lo, t)
-            if tgt == src and t2 == t:
-                if lo < t:
-                    while t2 == t:
-                        t2 = rng.randint(lo, t)
+            step = bits(width_bits)
+            while step >= width:
+                step = bits(width_bits)
+            if tgt == src and step == width - 1:
+                if width > 1:
+                    # Redraw the time until it is not t; a draw past the
+                    # window is rejected by the same test.
+                    while step >= width - 1:
+                        step = bits(width_bits)
                 else:
                     # t == 1: the window is {1}, so redraw the community mate.
                     while tgt == src:
-                        tgt = block + rng.randrange(m)
-            links.append(((labels[src], t), (labels[tgt], t2)))
+                        tgt = bits(m_bits)
+                        while tgt >= m:
+                            tgt = bits(m_bits)
+                        tgt += block
+            append(((labels[src], t), (labels[tgt], lo + step)))
     return links, planted_assignment(config)
 
 

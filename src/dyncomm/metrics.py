@@ -14,7 +14,15 @@ from pathlib import Path
 from typing import IO, Hashable, Iterable, Mapping, NamedTuple
 
 from .detection import Cover
-from .temporal_graph import TemporalGraph, TemporalNode, _decimal, _read_table, _real, _write_table
+from .temporal_graph import (
+    TemporalGraph,
+    TemporalNode,
+    _decimal,
+    _read_table,
+    _real,
+    _sum_in_order,
+    _write_table,
+)
 
 COMMUNITY_HEADER = ["community", "z", "temporal_size", "NA", "SC", "HI", "internal_links"]
 NODE_HEADER = ["node", "lifetime", "membership", "CM", "CT"]
@@ -101,7 +109,7 @@ def community_reports(cover: Cover, tg: TemporalGraph) -> list[CommunityReport]:
         if z == 1 or total == 0:
             hi = 1.0
         else:
-            sum_p2 = sum((w / total) ** 2 for w in out_weight[cid].values())
+            sum_p2 = _sum_in_order((w / total) ** 2 for w in out_weight[cid].values())
             hi = (z * (1.0 / (z * sum_p2)) - 1.0) / (z - 1.0)
         reports.append(
             CommunityReport(

@@ -12,7 +12,9 @@ import io
 from array import array
 from collections import Counter
 from contextlib import contextmanager
+from functools import reduce
 from itertools import accumulate, compress
+from operator import add
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -91,6 +93,16 @@ def _real(text: str) -> float:
     if text.isascii() and "_" not in text and text[:1] != "+" and text.strip() == text:
         return float(text)
     raise ValueError(f"{text!r} is not a number in plain ASCII")
+
+
+def _sum_in_order(values: Iterable[float]) -> float:
+    """``values`` added left to right, one rounding per addition.
+
+    The built-in ``sum`` compensates float rounding from Python 3.12 on, so
+    its last bits, and the CSV digits written from it, would depend on the
+    interpreter.  This is 3.11's ``sum`` on every version.
+    """
+    return reduce(add, values, 0)
 
 
 def _link_stream(lines: Iterable[str], permissive: bool, k: int) -> Iterator[RawLink]:
@@ -296,16 +308,24 @@ def build_temporal_graph(
     sequence.
     """
     index: dict[tuple[str, int], int] = {}  # each vertex's node id
-    number = index.setdefault
+    find = index.get
     sources, targets = array("i"), array("i")
     add_source, add_target = sources.append, targets.append
     for src, dst in raw_links:
-        add_source(number(src, len(index)))
-        add_target(number(dst, len(index)))
+        # `get` and a branch number a new end; `setdefault` would take
+        # len(index) for every end, hit or miss.
+        i = find(src)
+        if i is None:
+            i = index[src] = len(index)
+        add_source(i)
+        j = find(dst)
+        if j is None:
+            j = index[dst] = len(index)
+        add_target(j)
     for label, t in isolated_nodes:
-        number((label, t), len(index))
+        index.setdefault((label, t), len(index))
     nodes = tuple(map(TemporalNode._make, index))
-    del index, number
+    del index, find
     ones = array("q", [1]) * len(sources)
     return TemporalGraph(nodes, *_distinct_pairs(sources, targets, ones, len(nodes)))
 

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import io
 import json
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dyncomm import (
     ConfigError,
@@ -96,6 +99,77 @@ def test_fractional_d_must_give_integer_link_count():
 def test_invalid_configs_rejected(overrides):
     with pytest.raises(ConfigError):
         config(**overrides)
+
+
+def reference_generate(config: GeneratorConfig):
+    """`generate` as written with `randrange` and `randint`: the oracle for its draws."""
+    rng = random.Random(config.seed)
+    n, m = config.n, config.m
+    labels = [str(i) for i in range(n)]
+    links = []
+    for t in range(1, config.t_max + 1):
+        lo = max(1, t - config.w)
+        for _ in range(config.links_per_step):
+            src = rng.randrange(n)
+            block = (src // m) * m
+            if rng.random() < config.p:
+                tgt = block + rng.randrange(m)
+            else:
+                tgt = rng.randrange(n - m)
+                if tgt >= block:
+                    tgt += m
+            t2 = rng.randint(lo, t)
+            if tgt == src and t2 == t:
+                if lo < t:
+                    while t2 == t:
+                        t2 = rng.randint(lo, t)
+                else:
+                    # t == 1: the window is {1}, so redraw the community mate.
+                    while tgt == src:
+                        tgt = block + rng.randrange(m)
+            links.append(((labels[src], t), (labels[tgt], t2)))
+    return links, planted_assignment(config)
+
+
+@st.composite
+def small_configs(draw) -> GeneratorConfig:
+    """Valid configs of at most 30 nodes and 8 steps, fractional d included."""
+    n_c = draw(st.integers(1, 5))
+    m = draw(st.integers(2 if n_c == 1 else 1, 6))
+    # p < 1 needs a second community, and p > 0 a community mate.
+    p = draw(st.sampled_from([p for p in (0.0, 0.3, 0.85, 1.0) if (p == 1 or n_c > 1) and (p == 0 or m > 1)]))
+    n = n_c * m
+    return GeneratorConfig(
+        n_c=n_c,
+        m=m,
+        t_max=draw(st.integers(1, 8)),
+        w=draw(st.integers(1, 10)),
+        d=draw(st.integers(1, 3 * n)) / n,
+        p=p,
+        seed=draw(st.integers(0, 2**64)),
+    )
+
+
+@settings(max_examples=300)
+@given(small_configs())
+# Corners: a mate redrawn at t = 1 (m = 2, p = 1, one step), single-member
+# communities that never link inside, one community, a window of one step,
+# a window past t_max, fractional d, and n a power of two.
+@example(GeneratorConfig(n_c=1, m=2, t_max=1, w=3, d=4, p=1.0, seed=5))
+@example(GeneratorConfig(n_c=3, m=1, t_max=4, w=2, d=2, p=0.0, seed=6))
+@example(GeneratorConfig(n_c=1, m=5, t_max=4, w=2, d=2, p=1.0, seed=7))
+@example(GeneratorConfig(n_c=2, m=3, t_max=6, w=1, d=2, p=0.85, seed=8))
+@example(GeneratorConfig(n_c=2, m=3, t_max=4, w=9, d=2, p=0.85, seed=9))
+@example(GeneratorConfig(n_c=4, m=5, t_max=3, w=2, d=0.7, p=0.5, seed=10))
+@example(GeneratorConfig(n_c=4, m=4, t_max=3, w=2, d=1, p=0.5, seed=11))
+def test_generate_draws_as_randrange_and_randint_do(cfg):
+    assert generate(cfg) == reference_generate(cfg)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**32 - 1])
+def test_generate_draws_as_randrange_and_randint_do_at_benchmark_size(seed):
+    cfg = GeneratorConfig(n_c=20, m=25, t_max=10, w=10, d=3, p=0.85, seed=seed)
+    assert generate(cfg) == reference_generate(cfg)
 
 
 def test_single_community_allowed_when_fully_intra():

@@ -21,7 +21,7 @@ from dyncomm import (
     write_links,
 )
 from dyncomm.cli import _load_graph
-from dyncomm.temporal_graph import _decimal, _link_stream, _read_table
+from dyncomm.temporal_graph import _decimal, _link_stream, _read_table, _sum_in_order
 
 from conftest import random_raw_links
 
@@ -347,6 +347,13 @@ def test_numbers_read_only_in_plain_ascii_digits(n):
     for text in _lax_forms(n)[::2]:  # the forms without a space, which splits a link line
         with pytest.raises(LinkParseError, match="^line 1: times must be integers$"):
             parse_link_file([f"a {text} b 0"], permissive=True)
+
+
+def test_float_sums_round_once_per_addition_left_to_right():
+    # A compensated sum, as the built-in `sum` is from Python 3.12 on, gives 1.0 and 1.0.
+    assert _sum_in_order([1e16, 1.0, -1e16]) == 0.0
+    assert _sum_in_order(0.1 for _ in range(10)) == 0.9999999999999999
+    assert _sum_in_order([]) == 0
 
 
 def test_link_times_longer_than_int_reads_fail_on_their_line():

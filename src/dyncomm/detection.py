@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from array import array
 from collections import deque
-from itertools import accumulate
+from itertools import accumulate, groupby
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -216,7 +216,10 @@ def _fold_by(
 ) -> tuple[array, array, array, list[float], list[float]]:
     """The rows, self-loops and degrees of a level, each node relabelled by ``comm``.
 
-    `_groups` groups the nodes by community.  The rows of one community's
+    `_groups` groups the nodes by community, and each run of one
+    community's nodes makes its row, so every id ``0..k-1`` must have a
+    member: Louvain densifies, `Cover` checks contiguity, and `_split` and
+    `_set_partitions` number contiguously.  The rows of one community's
     nodes add their weight to each community they reach in one flat list,
     which is zeroed again at the communities they touched, as in
     `_one_level`.  A pair inside the community is met from both its ends,
@@ -228,14 +231,12 @@ def _fold_by(
     loops = [0.0] * k
     for c, s in zip(comm, self_w):
         loops[c] += s
-    members, ends = _groups(comm, k)
     row_ends, row_targets, row_weights = array("q", [0]), array("i"), array("d")
     degree: list[float] = []
     w_to = [0.0] * k
-    start = 0
-    for c, end in enumerate(ends):
+    for c, members in groupby(_groups(comm, k), comm.__getitem__):
         near = []
-        for i in members[start:end]:
+        for i in members:
             lo = offsets[i]
             hi = offsets[i + 1]
             for j, w in zip(targets[lo:hi], weights[lo:hi]):
@@ -257,7 +258,6 @@ def _fold_by(
                 w_to[cj] = 0.0
         row_ends.append(len(row_targets))
         degree.append(d)
-        start = end
     return row_ends, row_targets, row_weights, loops, degree
 
 

@@ -13,7 +13,7 @@ from array import array
 from collections import Counter
 from contextlib import contextmanager
 from functools import reduce
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress, repeat
 from operator import add
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -248,10 +248,8 @@ def write_links(links: Iterable[RawLink], out: IO[str] | str | Path) -> None:
         handle.write(text)
 
 
-def _groups(keys: Sequence[int], n: int) -> tuple[array, list[int]]:
-    """A stable counting sort of ``keys``, ids ``0..n-1``: their positions grouped
-    by key, and the end of each key's group in that order.
-    """
+def _groups(keys: Sequence[int], n: int) -> array:
+    """A stable counting sort of ``keys``, ids ``0..n-1``: their positions grouped by key."""
     count = Counter(keys)
     ends = list(accumulate(map(count.__getitem__, range(n)), initial=0))  # each group's next slot
     order = array("i", bytes(4 * len(keys)))
@@ -259,39 +257,35 @@ def _groups(keys: Sequence[int], n: int) -> tuple[array, list[int]]:
         slot = ends[key]
         order[slot] = at
         ends[key] = slot + 1
-    ends.pop()  # the total, which the last group's end repeats
-    return order, ends
+    return order
 
 
-def _distinct_pairs(src: array, dst: array, weights: array, n: int) -> tuple[array, array, array]:
+def _distinct_pairs(src: array, dst: array, n: int) -> tuple[array, array, array]:
     """Each distinct ``(src[l], dst[l])`` pair once, in the order the pairs first
-    appear, with the sum of its lines' ``weights``.
+    appear, with the number of lines that hold it.
 
-    Ids run over ``0..n-1`` and weights are positive.  `_groups` groups the
-    lines by source.  Within one source's lines, a target already marked
-    with that source is a repeated pair, whose weight moves onto the pair's
-    first line, in place in ``weights``.  One pass in line order then keeps
-    each line that still holds a weight.
+    Ids run over ``0..n-1``.  `_groups` orders the lines by source.  A target
+    already marked with its line's source is a repeated pair, whose count
+    moves onto the pair's first line.  One pass in line order then keeps
+    each line that still holds a count.
     """
-    order, ends = _groups(src, n)
+    weights = array("q", [1]) * len(src)
     last = [-1] * n  # the last source whose lines reached each target
     first = [0] * n  # that source's first line to each target
-    start = 0
-    for i, end in enumerate(ends):
-        for line in order[start:end]:
-            j = dst[line]
-            if last[j] == i:
-                weights[first[j]] += weights[line]
-                weights[line] = 0
-            else:
-                last[j] = i
-                first[j] = line
-        start = end
-    del order, last, first
+    for line in _groups(src, n):
+        i = src[line]
+        j = dst[line]
+        if last[j] == i:
+            weights[first[j]] += 1
+            weights[line] = 0
+        else:
+            last[j] = i
+            first[j] = line
+    del last, first
     return (
         array("i", compress(src, weights)),
         array("i", compress(dst, weights)),
-        array(weights.typecode, filter(None, weights)),
+        array("q", filter(None, weights)),
     )
 
 
@@ -326,28 +320,24 @@ def build_temporal_graph(
         index.setdefault((label, t), len(index))
     nodes = tuple(map(TemporalNode._make, index))
     del index, find
-    ones = array("q", [1]) * len(sources)
-    return TemporalGraph(nodes, *_distinct_pairs(sources, targets, ones, len(nodes)))
+    return TemporalGraph(nodes, *_distinct_pairs(sources, targets, len(nodes)))
 
 
 def coarsen_time(tg: TemporalGraph, k: int) -> TemporalGraph:
     """Bin timesteps by floor(t / k), merging temporal nodes that collide.
 
-    Link multiplicities add; links whose endpoints collapse onto the same
-    (node, bin) become self-loops.  Nodes and links keep first-appearance
-    order, the order a rebuild from the binned raw links would give.
-    ``k = 1`` is the identity.
+    The graph is rebuilt from its binned raw links: each link's binned ends,
+    repeated by its weight, plus every binned node, go through
+    `build_temporal_graph`.  So multiplicities add, links whose endpoints
+    collapse onto the same (node, bin) become self-loops, and nodes and
+    links keep first-appearance order.  ``k = 1`` is the identity.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"coarsening factor k must be an integer >= 1, got {k!r}")
     if k == 1:
         return tg
-    binned: dict[tuple[str, int], int] = {}
-    intern = binned.setdefault
-    relabel = [intern((tn.node, tn.t // k), len(binned)) for tn in tg.nodes]
-    nodes = tuple(map(TemporalNode._make, binned))
-    del binned, intern
-    sources = array("i", map(relabel.__getitem__, tg.sources))
-    targets = array("i", map(relabel.__getitem__, tg.targets))
-    del relabel
-    return TemporalGraph(nodes, *_distinct_pairs(sources, targets, tg.weights[:], len(nodes)))
+    binned = [(tn.node, tn.t // k) for tn in tg.nodes]
+    ends = binned.__getitem__
+    links = zip(map(ends, tg.sources), map(ends, tg.targets))
+    raw = chain.from_iterable(map(repeat, links, tg.weights))  # each link, `weight` times over
+    return build_temporal_graph(raw, isolated_nodes=binned)

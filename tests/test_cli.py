@@ -77,6 +77,17 @@ def test_detect_finds_planted_communities(tmp_path):
     assert {row["community"] for row in rows} == {"0", "1", "2", "3"}
 
 
+def test_detect_seed_defaults_to_42(tmp_path):
+    links = tmp_path / "links.txt"
+    assert main(["generate", str(write_config(tmp_path, p=0.85)), str(links)]) == 0
+    covers = {}
+    for name, seed in [("default", ()), ("42", ("--seed", "42")), ("43", ("--seed", "43"))]:
+        assert main(["detect", str(links), str(tmp_path / f"{name}.csv"), *seed]) == 0
+        covers[name] = (tmp_path / f"{name}.csv").read_bytes()
+    assert covers["default"] == covers["42"]
+    assert covers["43"] != covers["42"]  # the seed moves this graph's cover
+
+
 def test_detect_gn_guard_on_large_graphs(tmp_path, capsys):
     # 40 nodes over 20 timesteps -> well above the 500-temporal-node cap
     big_config = write_config(tmp_path, n_c=4, m=10, t_max=20, w=10, d=2.5)

@@ -31,7 +31,7 @@ from dyncomm import (
     read_cover,
     write_cover,
 )
-from dyncomm.detection import _densify, _fold_by, _one_level
+from dyncomm.detection import _densify, _fold_by, _one_level, _set_partitions
 
 from conftest import barbell_graph, cover_of, random_raw_links, triangle_sides, two_pairs_graph
 
@@ -117,6 +117,13 @@ def test_louvain_recovers_planted_communities_at_high_density():
     assert cover.n_communities == 4
     planted = {tn: assignment[tn.node] for tn in tg.nodes}
     assert dissimilarity(cover.assignment, planted) == 0.0
+
+
+def test_louvain_seed_defaults_to_zero():
+    cfg = GeneratorConfig(n_c=4, m=5, t_max=20, w=10, d=3, p=0.85, seed=99)
+    view = ModularityView.from_temporal_graph(build_temporal_graph(generate(cfg)[0]))
+    assert louvain(view) == louvain(view, 0)
+    assert louvain(view, 1) != louvain(view, 0)  # the seed moves this graph's cover
 
 
 _louvain_cells = st.tuples(st.sampled_from("abcdef"), st.integers(0, 3))
@@ -334,6 +341,14 @@ def test_covers_number_communities_in_order_of_first_appearance():
         for cover in covers:
             m = cover.membership(view.nodes)
             assert _densify(m) == m
+
+
+def test_set_partitions_are_the_bell_number_of_restricted_growth_strings():
+    for n, bell in enumerate([1, 2, 5, 15, 52, 203, 877, 4140], start=1):
+        strings = [tuple(a) for a in _set_partitions(n)]
+        assert len(strings) == len(set(strings)) == bell
+        for a in strings:  # each id is at most one more than the largest before it
+            assert all(a[i] <= max(a[:i], default=-1) + 1 for i in range(n))
 
 
 def test_brute_force_size_guard():

@@ -1,7 +1,7 @@
 """Golden digests: the CLI's output bytes for one small fixed pipeline.
 
-Every output file of a short generate → detect → metrics → repair → sweep
-run is hashed and compared with digests recorded from a known-good build.
+Every output file of a short generate → detect → metrics → profile → repair
+→ sweep run is hashed and compared with digests recorded from a known-good build.
 A speed-up in ingest, Louvain, metrics or repair must leave all of them
 unchanged. If a change alters output on purpose, rerun this test, check
 the new bytes by hand, and update `GOLDEN` in the same commit.
@@ -26,6 +26,7 @@ GOLDEN = {
     "louvain_k3.csv": "3c83f352bf6078a2964e0b3119ebb08576eb379f31a4dfe8d82e7553c166e31c",
     "nodes_k1.csv": "64843fc17047868bfb7690610a7edead3d5b007cb2b0f7e05a8332cc1d1ff0f5",
     "nodes_k3.csv": "2c864b80bbcfff8c1d53d9ce5b55c6b583c5f4989246f442e5f3e0ba0632b6de",
+    "profile_k1.svg": "40bcd8557b2c5f4ac85b93dfa4997934e851979cc318c33dc825a4fe9f612976",
     "repaired.csv": "c565e26e1e2129341efe8512e7d98b6881410d6b87fd9027d4f2a1298a039014",
     "sweep/assignment_p0.5_s1.txt": "67b690b881c3042819ee108e4d625d836ce58db359c25e3060d03e358b36d09d",
     "sweep/assignment_p0.5_s2.txt": "67b690b881c3042819ee108e4d625d836ce58db359c25e3060d03e358b36d09d",
@@ -62,6 +63,7 @@ def run_pipeline(root) -> dict[str, str]:
         "--community-out", out / "communities_k1.csv", "--node-out", out / "nodes_k1.csv")
     run("metrics", links, out / "louvain_k3.csv", "--coarsen", 3,
         "--community-out", out / "communities_k3.csv", "--node-out", out / "nodes_k3.csv")
+    run("profile", out / "communities_k1.csv", out / "profile_k1.svg")
     run("repair", links, out / "louvain_k1.csv", out / "repaired.csv",
         "--min-overlap", 1, "--trace", out / "trace.csv")
     run("sweep", config, out / "sweep", "--param", "p", "--values", "0.5,0.9",

@@ -197,6 +197,8 @@ def test_node_reports_examples():
         (("flip", 2), ("x", 1)),
         (("flip", 3), ("x", 1)),
         (("flip", 4), ("x", 1)),
+        (("pair", 2), ("x", 1)),
+        (("pair", 6), ("x", 1)),
     ]
     tg = build_temporal_graph(raw)
     groups = {
@@ -209,6 +211,8 @@ def test_node_reports_examples():
         tn("flip", 2): 1,
         tn("flip", 3): 0,
         tn("flip", 4): 1,
+        tn("pair", 2): 0,
+        tn("pair", 6): 1,
     }
     cover = Cover(assignment=groups, n_communities=2)
     by_node = {r.node: r for r in node_reports(cover, tg)}
@@ -225,6 +229,9 @@ def test_node_reports_examples():
     assert (flip.lifetime, flip.membership) == (4, 2)
     assert flip.cm == pytest.approx(1 / 2)
     assert flip.ct == pytest.approx(1.0)
+
+    pair = by_node["pair"]  # two active timesteps: one step, one change
+    assert (pair.lifetime, pair.membership, pair.cm, pair.ct) == (2, 2, 1.0, 1.0)
 
 
 _cells = st.tuples(st.sampled_from("abcd"), st.integers(0, 6))

@@ -169,6 +169,23 @@ def test_the_pipeline_reads_links_from_the_graphs_arrays():
     assert reads == []
 
 
+def test_only_the_build_makes_a_temporal_graph():
+    # `build_temporal_graph` numbers the vertices and merges repeated pairs;
+    # a second constructor call would be a second vertex table to keep in step.
+    inside, outside = [], []
+    for path in sorted((SRC / "dyncomm").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "build_temporal_graph":
+                allowed = {id(sub) for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "TemporalGraph":
+                (inside if id(node) in allowed else outside).append(f"{path.name}:{node.lineno}")
+    assert inside  # the guard sees the build's own call
+    assert outside == []
+
+
 def test_every_module_level_import_is_used():
     # No linter runs on this tree, so this keeps a deletion from leaving a dead import behind.
     unused = []

@@ -107,8 +107,9 @@ def _load_graph(path: str, permissive: bool, coarsen: int) -> TemporalGraph:
 
     Each line is validated at its fine times and binned as it is read, so
     neither the raw-link list nor the fine graph is ever made; the result
-    equals `coarsen_time` of the fine graph.  The build runs inside the
-    ``with`` so that a byte that is not UTF-8 still names its line.
+    equals `coarsen_time` of the fine graph, array for array, with one link
+    per raw line.  The build runs inside the ``with`` so that a byte that
+    is not UTF-8 still names its line.
     """
     with _opened(path) as handle:
         return build_temporal_graph(_link_stream(handle, permissive, coarsen))

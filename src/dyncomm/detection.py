@@ -114,13 +114,14 @@ class ModularityView(NamedTuple):
 
     @classmethod
     def from_temporal_graph(cls, tg: TemporalGraph) -> "ModularityView":
-        """The view of ``tg``'s links, each folded in at both its ends.
+        """The view of ``tg``'s raw links, each folded in at both its ends.
 
         The first pass counts each row's half-edges and the second places
-        them; a link with equal ends adds to its node's self-loop instead.
-        Then each row is sorted by target and the weights of one unordered
-        pair are added up, whichever way round they came, compacting the
-        arrays in place.
+        their targets; a link with equal ends adds 1 to its node's self-loop
+        instead.  Then each row is sorted, and a target that repeats the one
+        before it adds 1 to that pair's weight, whichever way round its links
+        came, compacting the arrays in place.  Every weight and degree is a
+        whole number, so each sum is exact.
         """
         src, dst = tg.sources, tg.targets
         n = len(tg.nodes)
@@ -133,39 +134,36 @@ class ModularityView(NamedTuple):
         del count
         free = offsets.tolist()  # the next free slot of each row
         targets = array("i", [0]) * offsets[-1]
-        weights = array("d", [0.0]) * offsets[-1]
         self_w = [0.0] * n
-        for i, j, w in zip(src, dst, tg.weights):
+        for i, j in zip(src, dst):
             if i == j:
-                self_w[i] += w
+                self_w[i] += 1.0
             else:
                 at = free[i]
                 targets[at] = j
-                weights[at] = w
                 free[i] = at + 1
                 at = free[j]
                 targets[at] = i
-                weights[at] = w
                 free[j] = at + 1
         del free
+        # A slot is written only once the compaction has passed it, so each
+        # kept pair's weight starts at 1.
+        weights = array("d", [1.0]) * offsets[-1]
         degree: list[float] = []
         append = degree.append
         end = 0
         lo = 0
         for i, (s, hi) in enumerate(zip(self_w, offsets[1:])):
             offsets[i] = end
-            d = 2.0 * s
+            append(2.0 * s + (hi - lo))
             last = -1
-            for j, w in sorted(zip(targets[lo:hi], weights[lo:hi])):
-                d += w
+            for j in sorted(targets[lo:hi]):
                 if j == last:
-                    weights[end - 1] += w
+                    weights[end - 1] += 1.0
                 else:
                     targets[end] = j
-                    weights[end] = w
                     end += 1
                     last = j
-            append(d)
             lo = hi
         offsets[n] = end
         del targets[end:], weights[end:]
@@ -283,10 +281,10 @@ def _one_level(
     tot = list(degree)
     w_to = [0.0] * n  # weight from the popped node to each community, reset after each pop
     queue = deque(rng.sample(comm, n))  # the draws of `range(n)`, sharing comm's ints
-    queued = [True] * n
+    queued = bytearray(b"\x01") * n
     while queue:
         i = queue.popleft()
-        queued[i] = False
+        queued[i] = 0
         ci = comm[i]
         ki = degree[i]
         lo = offsets[i]
@@ -323,7 +321,7 @@ def _one_level(
         if best_c != ci:
             for j in row:
                 if not queued[j] and comm[j] != best_c:
-                    queued[j] = True
+                    queued[j] = 1
                     queue.append(j)
     return comm
 
@@ -357,6 +355,7 @@ def louvain(view: ModularityView, seed: int = 0) -> Cover:
         if len(set(dense)) == len(dense):
             break
         offsets, targets, weights, self_w, degree = _fold_by(offsets, targets, weights, self_w, dense)
+        del dense  # not held through the next level's local moves
 
     def inside(i: int) -> list[int]:
         a = assign[i]

@@ -80,7 +80,7 @@ def dissimilarity(
 
 
 def community_reports(cover: Cover, tg: TemporalGraph) -> list[CommunityReport]:
-    """All per-community metrics in one pass over the link set.
+    """All per-community metrics in one pass over the raw links, each counting 1.
 
     SC is 0 without internal links.  HI rescales h = 1/(z * sum p_i^2), p_i
     being node i's share of internal out-link weight, from [1/z, 1] to
@@ -91,15 +91,15 @@ def community_reports(cover: Cover, tg: TemporalGraph) -> list[CommunityReport]:
     internal = [0] * cover.n_communities
     selfs = [0] * cover.n_communities
     out_weight: list[Counter] = [Counter() for _ in range(cover.n_communities)]
-    for i, j, w in zip(tg.sources, tg.targets, tg.weights):
+    for i, j in zip(tg.sources, tg.targets):
         ca = comm[i]
         if ca != comm[j]:
             continue
-        internal[ca] += w
+        internal[ca] += 1
         label = nodes[i].node
-        out_weight[ca][label] += w
+        out_weight[ca][label] += 1
         if label == nodes[j].node:
-            selfs[ca] += w
+            selfs[ca] += 1
     reports = []
     for cid, group in enumerate(cover.communities()):
         z = len(set(tn.node for tn in group))

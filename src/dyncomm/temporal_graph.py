@@ -13,7 +13,7 @@ from array import array
 from collections import Counter
 from contextlib import contextmanager
 from functools import reduce
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate
 from operator import add
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -43,28 +43,30 @@ class TemporalNode(NamedTuple):
 
 
 class TemporalGraph(NamedTuple):
-    """Directed weighted graph over (node, timestep) vertices.
+    """Directed multigraph over (node, timestep) vertices, one link per raw link.
 
-    Link ``l`` runs from ``nodes[sources[l]]`` to ``nodes[targets[l]]``, and
-    its weight ``weights[l]`` is its raw-link multiplicity, so
-    ``total_weight`` equals the number of raw input links.  The graph holds
-    its arrays, not copies: they must not be mutated.
+    Raw link ``l`` runs from ``nodes[sources[l]]`` to ``nodes[targets[l]]``.
+    The links keep their input order and their repeats: the weight of a
+    pair is the number of raw links that repeat it, and ``total_weight`` is
+    the number of raw links.  The graph holds its arrays, not copies: they
+    must not be mutated.
     """
 
     nodes: tuple[TemporalNode, ...]
     sources: array
     targets: array
-    weights: array
 
     @property
     def links(self) -> tuple[tuple[TemporalNode, TemporalNode, int], ...]:
-        """Each link as a plain ``(source, target, weight)`` tuple, built anew at each access."""
+        """Each distinct link as a plain ``(source, target, multiplicity)`` tuple,
+        in first-appearance order, counted anew at each access."""
         ends = self.nodes.__getitem__
-        return tuple(zip(map(ends, self.sources), map(ends, self.targets), self.weights))
+        pairs = Counter(zip(self.sources, self.targets))
+        return tuple((ends(i), ends(j), w) for (i, j), w in pairs.items())
 
     @property
     def total_weight(self) -> int:
-        return sum(self.weights)
+        return len(self.sources)
 
 
 def _decimal(text: str) -> int:
@@ -260,35 +262,6 @@ def _groups(keys: Sequence[int], n: int) -> array:
     return order
 
 
-def _distinct_pairs(src: array, dst: array, n: int) -> tuple[array, array, array]:
-    """Each distinct ``(src[l], dst[l])`` pair once, in the order the pairs first
-    appear, with the number of lines that hold it.
-
-    Ids run over ``0..n-1``.  `_groups` orders the lines by source.  A target
-    already marked with its line's source is a repeated pair, whose count
-    moves onto the pair's first line.  One pass in line order then keeps
-    each line that still holds a count.
-    """
-    weights = array("q", [1]) * len(src)
-    last = [-1] * n  # the last source whose lines reached each target
-    first = [0] * n  # that source's first line to each target
-    for line in _groups(src, n):
-        i = src[line]
-        j = dst[line]
-        if last[j] == i:
-            weights[first[j]] += 1
-            weights[line] = 0
-        else:
-            last[j] = i
-            first[j] = line
-    del last, first
-    return (
-        array("i", compress(src, weights)),
-        array("i", compress(dst, weights)),
-        array("q", filter(None, weights)),
-    )
-
-
 def build_temporal_graph(
     raw_links: Iterable[RawLink],
     isolated_nodes: Iterable[tuple[str, int]] = (),
@@ -296,10 +269,10 @@ def build_temporal_graph(
     """Assemble the temporal graph from validated raw links.
 
     Vertices are the union of all link endpoints (plus any explicitly
-    declared isolated nodes); repeated endpoint pairs aggregate into one
-    link with multiplicity weight.  Orders follow first appearance, source
-    before target, which keeps construction deterministic for a given input
-    sequence.
+    declared isolated nodes), numbered in order of first appearance, source
+    before target.  Each raw link becomes one link, in input order, so a
+    repeated pair is kept once per repeat: the graph's arrays are the
+    numbered input itself.
     """
     index: dict[tuple[str, int], int] = {}  # each vertex's node id
     find = index.get
@@ -318,19 +291,18 @@ def build_temporal_graph(
         add_target(j)
     for label, t in isolated_nodes:
         index.setdefault((label, t), len(index))
-    nodes = tuple(map(TemporalNode._make, index))
-    del index, find
-    return TemporalGraph(nodes, *_distinct_pairs(sources, targets, len(nodes)))
+    return TemporalGraph(tuple(map(TemporalNode._make, index)), sources, targets)
 
 
 def coarsen_time(tg: TemporalGraph, k: int) -> TemporalGraph:
     """Bin timesteps by floor(t / k), merging temporal nodes that collide.
 
-    The graph is rebuilt from its binned raw links: each link's binned ends,
-    repeated by its weight, plus every binned node, go through
-    `build_temporal_graph`.  So multiplicities add, links whose endpoints
-    collapse onto the same (node, bin) become self-loops, and nodes and
-    links keep first-appearance order.  ``k = 1`` is the identity.
+    The graph is rebuilt from its binned raw links: each raw link's binned
+    ends, in order, plus every binned node, go through
+    `build_temporal_graph`.  So links whose endpoints collapse onto the same
+    (node, bin) become self-loops, nodes keep first-appearance order, and
+    the result equals the build of the binned input, array for array.
+    ``k = 1`` is the identity.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"coarsening factor k must be an integer >= 1, got {k!r}")
@@ -338,6 +310,4 @@ def coarsen_time(tg: TemporalGraph, k: int) -> TemporalGraph:
         return tg
     binned = [(tn.node, tn.t // k) for tn in tg.nodes]
     ends = binned.__getitem__
-    links = zip(map(ends, tg.sources), map(ends, tg.targets))
-    raw = chain.from_iterable(map(repeat, links, tg.weights))  # each link, `weight` times over
-    return build_temporal_graph(raw, isolated_nodes=binned)
+    return build_temporal_graph(zip(map(ends, tg.sources), map(ends, tg.targets)), isolated_nodes=binned)

@@ -453,10 +453,11 @@ _triples = st.integers(1, 7).flatmap(
 
 def fold_triples(k, triples):
     """The view's ``(offsets, targets, weights, self_weight, degree)`` of the
-    graph whose link ``(i, j, w)`` runs from node ``i`` to ``j``, ids ``0..k-1``."""
-    src, dst, link_w = [list(map(itemgetter(at), triples)) for at in range(3)]
+    graph whose triple ``(i, j, w)`` is ``w`` raw links from node ``i`` to
+    ``j``, ids ``0..k-1``."""
+    raw = [(i, j) for i, j, w in triples for _ in range(int(w))]
     nodes = tuple(TemporalNode(str(i), 0) for i in range(k))
-    tg = TemporalGraph(nodes, array("i", src), array("i", dst), array("d", link_w))
+    tg = TemporalGraph(nodes, array("i", map(itemgetter(0), raw)), array("i", map(itemgetter(1), raw)))
     view = ModularityView.from_temporal_graph(tg)
     return view.offsets, view.targets, view.weights, list(view.self_weight), list(view.degree)
 
@@ -529,7 +530,7 @@ def test_louvain_ignores_adjacency_order(monkeypatch, seed):
     tg = build_temporal_graph(generate(cfg)[0])
     view = ModularityView.from_temporal_graph(tg)
     reversed_view = ModularityView.from_temporal_graph(
-        tg._replace(sources=tg.sources[::-1], targets=tg.targets[::-1], weights=tg.weights[::-1])
+        tg._replace(sources=tg.sources[::-1], targets=tg.targets[::-1])
     )
     assert list(reversed_view.adj) == list(view.adj)
     assert reversed_view == view

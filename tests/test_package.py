@@ -148,8 +148,8 @@ def test_every_file_is_opened_in_one_place():
 
 
 def test_the_pipeline_reads_links_from_the_graphs_arrays():
-    # `TemporalGraph.links` builds one `(source, target, weight)` tuple per link
-    # at each access; no module reads it, so the pipeline holds no per-link objects.
+    # `TemporalGraph.links` counts the raw pairs and builds one tuple per distinct
+    # link at each access; no module reads it, so the pipeline holds no per-link objects.
     properties, reads = [], []
     for path in sorted((SRC / "dyncomm").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -170,8 +170,8 @@ def test_the_pipeline_reads_links_from_the_graphs_arrays():
 
 
 def test_only_the_build_makes_a_temporal_graph():
-    # `build_temporal_graph` numbers the vertices and merges repeated pairs;
-    # a second constructor call would be a second vertex table to keep in step.
+    # `build_temporal_graph` numbers the vertices; a second constructor call
+    # would be a second vertex table to keep in step.
     inside, outside = [], []
     for path in sorted((SRC / "dyncomm").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -278,7 +278,7 @@ def test_replace_validates_like_the_constructor():
     with pytest.raises(ValueError, match="contiguous"):
         records["Cover"]._replace(n_communities=2)
     no_links = array("i")
-    assert records["TemporalGraph"]._replace(sources=no_links, targets=no_links, weights=no_links).total_weight == 0
+    assert records["TemporalGraph"]._replace(sources=no_links, targets=no_links).total_weight == 0
     with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
         records["GeneratorConfig"]._replace(p=1.5)
     assert records["GeneratorConfig"]._replace(p=1.0).p == 1.0

@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyncomm import (
+    GeneratorConfig,
     LinkParseError,
     LinkValidationError,
     TemporalGraph,
     TemporalNode,
     build_temporal_graph,
     coarsen_time,
+    generate,
     parse_link_file,
     write_links,
 )
@@ -167,6 +169,7 @@ def test_build_from_binned_links_matches_coarsen_time(raw, isolated, k):
     built = build_temporal_graph(binned, isolated_nodes=[(label, t // k) for label, t in isolated])
     expected = coarsen_time(build_temporal_graph(raw, isolated_nodes=isolated), k)
     assert built.nodes == expected.nodes
+    assert (built.sources, built.targets) == (expected.sources, expected.targets)
     assert built.links == expected.links
     assert built.total_weight == expected.total_weight == len(raw)
 
@@ -182,8 +185,7 @@ def counter_build(raw, isolated=()):
 
 def as_plain(tg: TemporalGraph):
     """``(nodes, links)`` of ``tg`` as plain tuples, in the graph's order."""
-    nodes = [tuple(tn) for tn in tg.nodes]
-    return nodes, [(nodes[i], nodes[j], w) for i, j, w in zip(tg.sources, tg.targets, tg.weights)]
+    return [tuple(tn) for tn in tg.nodes], [(tuple(src), tuple(dst), w) for src, dst, w in tg.links]
 
 
 @settings(max_examples=200)
@@ -201,6 +203,30 @@ def test_every_build_keeps_the_counter_builds_order(raw, isolated, k):
         path = Path(tmp) / "links.txt"
         path.write_text(buffer.getvalue(), encoding="utf-8")
         assert as_plain(_load_graph(str(path), True, k)) == counter_build(binned)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(_cells, _cells), max_size=40), st.lists(_cells, max_size=6), st.integers(1, 5))
+def test_the_graph_holds_each_raw_link_in_input_order(raw, isolated, k):
+    # One link per raw link, repeats kept: the arrays are the numbered input.
+    binned = [((src, ts // k), (dst, td // k)) for (src, ts), (dst, td) in raw]
+    tg = build_temporal_graph(raw, isolated_nodes=isolated)
+    for graph, links in ((tg, raw), (coarsen_time(tg, k), binned)):
+        nodes = [tuple(tn) for tn in graph.nodes]
+        assert [(nodes[i], nodes[j]) for i, j in zip(graph.sources, graph.targets)] == links
+        assert graph.total_weight == len(links)
+
+
+def test_streamed_coarse_load_equals_coarsen_time_array_for_array(tmp_path):
+    path = tmp_path / "links.txt"
+    write_links(generate(GeneratorConfig(n_c=4, m=8, t_max=30, w=10, d=3, p=0.8, seed=7))[0], path)
+    fine = _load_graph(str(path), False, 1)
+    for k in (1, 3, 10):
+        loaded, coarsened = _load_graph(str(path), False, k), coarsen_time(fine, k)
+        assert loaded.nodes == coarsened.nodes
+        for name in ("sources", "targets"):
+            a, b = getattr(loaded, name), getattr(coarsened, name)
+            assert (a.typecode, a) == (b.typecode, b), name
 
 
 def test_link_endpoints_are_the_graph_node_objects():

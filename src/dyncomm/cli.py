@@ -120,52 +120,36 @@ def render_profile_svg(reports: list[CommunityReport]) -> str:
     size = PROFILE_SIZE
     margin = 60.0
     plot = size - 2 * margin
+    axis = size - margin  # the x axis's y and the plot's right edge
 
-    def sx(na: float) -> float:
-        return margin + na * plot
+    def line(x1: float, y1: float, x2: float, y2: float) -> str:
+        return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black"/>'
 
-    def sy(sc: float) -> float:
-        return size - margin - sc * plot
+    def text(x: float, y: float, font: int, anchor: str, body: str, extra: str = "") -> str:
+        return f'<text x="{x}" y="{y}" font-size="{font}" text-anchor="{anchor}"{extra}>{body}</text>'
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
-        f'<line x1="{margin}" y1="{size - margin}" x2="{size - margin}" '
-        f'y2="{size - margin}" stroke="black"/>',
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{size - margin}" '
-        f'stroke="black"/>',
+        line(margin, axis, axis, axis),
+        line(margin, margin, margin, axis),
     ]
     for tick in (0.0, 0.25, 0.5, 0.75, 1.0):
-        x = sx(tick)
-        y = sy(tick)
-        parts.append(
-            f'<line x1="{x}" y1="{size - margin}" x2="{x}" y2="{size - margin + 5}" '
-            f'stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{x}" y="{size - margin + 18}" font-size="10" '
-            f'text-anchor="middle">{tick:g}</text>'
-        )
-        parts.append(
-            f'<line x1="{margin - 5}" y1="{y}" x2="{margin}" y2="{y}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{margin - 8}" y="{y + 3}" font-size="10" '
-            f'text-anchor="end">{tick:g}</text>'
-        )
-    parts.append(
-        f'<text x="{size / 2}" y="{size - 20}" font-size="12" '
-        f'text-anchor="middle">NA</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{size / 2}" font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 18 {size / 2})">SC</text>'
-    )
+        x = margin + tick * plot
+        y = axis - tick * plot
+        parts += [
+            line(x, axis, x, axis + 5),
+            text(x, axis + 18, 10, "middle", f"{tick:g}"),
+            line(margin - 5, y, margin, y),
+            text(margin - 8, y + 3, 10, "end", f"{tick:g}"),
+        ]
+    parts.append(text(size / 2, size - 20, 12, "middle", "NA"))
+    parts.append(text(18, size / 2, 12, "middle", "SC", f' transform="rotate(-90 18 {size / 2})"'))
     for r in reports:
         radius = PROFILE_R_MIN + PROFILE_R_SCALE * math.log1p(r.z)
         parts.append(
-            f'<circle cx="{sx(r.na)}" cy="{sy(r.sc)}" r="{radius}" '
+            f'<circle cx="{margin + r.na * plot}" cy="{axis - r.sc * plot}" r="{radius}" '
             f'fill="gray" fill-opacity="0.5" stroke="black">'
             f"<title>community {r.community}: z={r.z}</title></circle>"
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from collections import deque
+from collections import Counter, deque
 from itertools import accumulate, groupby
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -19,7 +19,6 @@ from .temporal_graph import (
     TemporalGraph,
     TemporalNode,
     _decimal,
-    _groups,
     _read_table,
     _sum_in_order,
     _write_table,
@@ -207,6 +206,18 @@ def _modularity(view: ModularityView, comm: list[int]) -> float:
     *_, internal, tot = _fold_by(view.offsets, view.targets, view.weights, view.self_weight, comm)
     two_m = 2.0 * view.total_weight
     return _sum_in_order(2.0 * w / two_m - (d / two_m) ** 2 for w, d in zip(internal, tot))
+
+
+def _groups(keys: Sequence[int], n: int) -> array:
+    """A stable counting sort of ``keys``, ids ``0..n-1``: their positions grouped by key."""
+    count = Counter(keys)
+    ends = list(accumulate(map(count.__getitem__, range(n)), initial=0))  # each group's next slot
+    order = array("i", bytes(4 * len(keys)))
+    for at, key in enumerate(keys):
+        slot = ends[key]
+        order[slot] = at
+        ends[key] = slot + 1
+    return order
 
 
 def _fold_by(

@@ -13,10 +13,9 @@ from array import array
 from collections import Counter
 from contextlib import contextmanager
 from functools import reduce
-from itertools import accumulate
 from operator import add
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 RawLink = tuple[tuple[str, int], tuple[str, int]]
 
@@ -248,18 +247,6 @@ def write_links(links: Iterable[RawLink], out: IO[str] | str | Path) -> None:
     text = "".join([f"{src} {ts} {dst} {td}\n" for (src, ts), (dst, td) in links])
     with _opened(out, "w") as handle:
         handle.write(text)
-
-
-def _groups(keys: Sequence[int], n: int) -> array:
-    """A stable counting sort of ``keys``, ids ``0..n-1``: their positions grouped by key."""
-    count = Counter(keys)
-    ends = list(accumulate(map(count.__getitem__, range(n)), initial=0))  # each group's next slot
-    order = array("i", bytes(4 * len(keys)))
-    for at, key in enumerate(keys):
-        slot = ends[key]
-        order[slot] = at
-        ends[key] = slot + 1
-    return order
 
 
 def build_temporal_graph(

@@ -5,11 +5,13 @@ import csv
 import gc
 import io
 import json
+import math
 import re
 import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -407,6 +409,39 @@ def test_profile_radius_monotone_in_z():
     radii = [r for _, _, r in circles(render_profile_svg(reports))]
     assert radii == sorted(radii)
     assert len(set(radii)) == 3
+
+
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            CommunityReport,
+            community=st.integers(0, 10**6),
+            z=st.integers(1, 10**4),
+            temporal_size=st.integers(1, 10**4),
+            na=st.floats(0, 1),
+            sc=st.floats(0, 1),
+            hi=st.floats(0, 1),
+            internal_links=st.integers(0, 10**4),
+        ),
+        max_size=40,
+    )
+)
+def test_profile_geometry(reports):
+    # The golden digest pins one plot; this pins where any report is drawn.
+    root = ElementTree.fromstring(render_profile_svg(reports))
+    drawn = root.findall(f"{SVG}circle")
+    assert len(drawn) == len(reports)
+    for circle, r in zip(drawn, reports):
+        assert circle.find(f"{SVG}title").text == f"community {r.community}: z={r.z}"
+        assert float(circle.get("cx")) == pytest.approx(60 + r.na * 400, abs=1e-9)
+        assert float(circle.get("cy")) == pytest.approx(460 - r.sc * 400, abs=1e-9)
+        assert float(circle.get("r")) == pytest.approx(3 + 3 * math.log1p(r.z))
+    labels = [t.text for t in root.findall(f"{SVG}text")]
+    assert sorted(labels) == sorted(["0", "0.25", "0.5", "0.75", "1"] * 2 + ["NA", "SC"])
 
 
 def test_profile_shifts_right_with_p(tmp_path):

@@ -101,6 +101,13 @@ def test_public_names_import_from_a_fresh_interpreter():
     )
 
 
+def test_dir_lists_every_public_name_without_loading_its_module():
+    # In-process too, so that a line tracer sees `__dir__` run.
+    assert set(dyncomm.__all__) <= set(dir(dyncomm))
+    loaded = modules_after("import dyncomm\nassert set(dyncomm.__all__) <= set(dir(dyncomm))")
+    assert loaded & {"dyncomm.generator", "dyncomm.metrics"} == set()
+
+
 def test_readme_library_example_runs(tmp_path):
     # The README's one Python block, so that a name it uses cannot vanish unnoticed.
     readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
@@ -234,6 +241,32 @@ def test_every_module_level_private_name_is_used():
                 loaded.add(node.attr)
     assert defined  # the guard sees the private names
     assert [f"{file}:{line} {name}" for file, line, name in defined if name not in loaded] == []
+
+
+def test_a_private_name_its_module_never_uses_serves_two_others():
+    # A private name that only one other module imports belongs in that module.
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((SRC / "dyncomm").glob("*.py"))
+    }
+    importers: dict[tuple[str, str], set[str]] = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        importers.setdefault((node.module, alias.name), set()).add(module)
+    assert importers  # the guard sees the private imports
+    misplaced = [
+        f"{home}.{name} is used only in {', '.join(sorted(users))}"
+        for (home, name), users in sorted(importers.items())
+        if len(users) < 2
+        and not any(
+            isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+            for node in ast.walk(trees[home])
+        )
+    ]
+    assert misplaced == []
 
 
 def test_each_export_names_the_module_that_defines_it():

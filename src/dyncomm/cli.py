@@ -187,11 +187,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _read_cover_checked(path: str) -> Cover:
-    """Read a cover CSV, warning on stderr if its community ids had gaps."""
-    cover, had_gaps = read_cover(path)
-    if had_gaps:
+    """Read a cover CSV, warning on stderr if its community ids were not 0..k-1."""
+    cover, renumbered = read_cover(path)
+    if renumbered:
         print(
-            f"warning: community ids in {path} had gaps; re-densified to 0..{cover.n_communities - 1}",
+            f"warning: community ids in {path} were not 0..k-1; re-densified to 0..{cover.n_communities - 1}",
             file=sys.stderr,
         )
     return cover

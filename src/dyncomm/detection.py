@@ -528,10 +528,10 @@ def write_cover(cover: Cover, out: IO[str] | str | Path) -> None:
 
 
 def read_cover(source: IO[str] | str | Path) -> tuple[Cover, bool]:
-    """Read a cover CSV; returns (cover, had_id_gaps).
+    """Read a cover CSV; returns (cover, renumbered).
 
-    Non-contiguous community ids are re-densified; the flag reports
-    whether that normalization changed anything.
+    Community ids other than 0..k-1, with gaps or negative, are re-densified
+    in sorted order; the flag reports whether that changed anything.
     """
     raw: dict[TemporalNode, int] = {}
 
@@ -543,7 +543,7 @@ def read_cover(source: IO[str] | str | Path) -> tuple[Cover, bool]:
 
     _read_table(source, "cover", COVER_HEADER, add_row)
     ids = sorted(set(raw.values()))
-    had_gaps = ids != list(range(len(ids)))
+    renumbered = ids != list(range(len(ids)))
     remap = {cid: dense for dense, cid in enumerate(ids)}
     assignment = {tn: remap[cid] for tn, cid in raw.items()}
-    return Cover(assignment=assignment, n_communities=len(ids)), had_gaps
+    return Cover(assignment=assignment, n_communities=len(ids)), renumbered

@@ -88,14 +88,12 @@ def community_reports(cover: Cover, tg: TemporalGraph) -> list[CommunityReport]:
     """
     nodes = tg.nodes
     comm = cover.membership(nodes)
-    internal = [0] * cover.n_communities
     selfs = [0] * cover.n_communities
     out_weight: list[Counter] = [Counter() for _ in range(cover.n_communities)]
     for i, j in zip(tg.sources, tg.targets):
         ca = comm[i]
         if ca != comm[j]:
             continue
-        internal[ca] += 1
         label = nodes[i].node
         out_weight[ca][label] += 1
         if label == nodes[j].node:
@@ -104,7 +102,7 @@ def community_reports(cover: Cover, tg: TemporalGraph) -> list[CommunityReport]:
     for cid, group in enumerate(cover.communities()):
         z = len(set(tn.node for tn in group))
         size = len(group)
-        total = internal[cid]
+        total = sum(out_weight[cid].values())
         sc = selfs[cid] / total if total else 0.0
         if z == 1 or total == 0:
             hi = 1.0

@@ -7,6 +7,7 @@ fragments into physically-cohesive clusters.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from heapq import heappop, heappush
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
@@ -35,12 +36,13 @@ def repair(
     the process is deterministic and finishes in at most one merge per
     community.  Gains are compared exactly.
 
-    The state is updated incrementally.  Neighbour sets (communities that
-    share a physical node) and a heap of candidate merges ordered by
-    (-gain, a, b) are built once.  Merging b into a touches only pairs with
-    a or b: a's pairs are recounted and re-queued under a new version of a,
-    and entries of b or of an older a are skipped when popped.  Every other
-    pair keeps its parts, so its queued gain stays exact.
+    The state is updated incrementally.  Each physical node's holders (the
+    live communities that contain it) give a community's neighbours, and a
+    heap of candidate merges ordered by (-gain, a, b) is built once.  Merging
+    b into a makes a the holder of b's nodes and re-queues a's pairs.  An
+    entry carries its parts' sizes, which every merge grows, so one naming b,
+    or a at a smaller size, is skipped when popped; other entries stay exact.
+    Each survivor's member list, its original ids, gives the final ids.
     """
     if min_overlap < 1:
         raise ValueError("min_overlap must be >= 1")
@@ -48,23 +50,23 @@ def repair(
     groups = cover.communities()
     phys = {cid: {tn.node for tn in group} for cid, group in enumerate(groups)}
     size = {cid: len(group) for cid, group in enumerate(groups)}
-    holders: dict[str, list[int]] = {}
+    holders: defaultdict[str, set[int]] = defaultdict(set)
     for cid, labels in phys.items():
         for label in labels:
-            holders.setdefault(label, []).append(cid)
-    neighbours = {
-        cid: set().union(*map(holders.__getitem__, labels)) - {cid}
-        for cid, labels in phys.items()
-    }
+            holders[label].add(cid)
     # NA = 1 - z/size with z = |phys|, so a gain is min(z/size) over the
     # parts minus union/merged_size: a rational whose denominator is at most
     # n**2 for n temporal nodes.  Two different gains thus differ by at
     # least 1/n**4, and floor(gain * n**4) orders gains exactly.
     scale = len(tg.nodes) ** 4
-    version = dict.fromkeys(phys, 0)
     heap: list[tuple[int, int, int, int, int, float, float]] = []
 
+    def near(a: int) -> set[int]:
+        return set().union(*map(holders.__getitem__, phys[a])) - {a}
+
     def queue(a: int, x: int) -> None:
+        if x < a:
+            a, x = x, a
         phys_a, phys_x = phys[a], phys[x]
         shared = len(phys_a & phys_x)
         if shared < min_overlap:
@@ -76,46 +78,36 @@ def repair(
         gain_num = z * merged_size - union * s
         if gain_num > 0:
             gain_den = s * merged_size
-            lo, hi = (a, x) if a < x else (x, a)
             heappush(heap, (
-                -(gain_num * scale // gain_den), lo, hi, version[lo], version[hi],
+                -(gain_num * scale // gain_den), a, x, size_a, size_x,
                 (merged_size - union) / merged_size, gain_num / gain_den,
             ))
 
-    for cid, near in neighbours.items():
-        for x in near:
+    for cid in phys:
+        for x in near(cid):
             if x > cid:
                 queue(cid, x)
-    parent: dict[int, int] = {}
+    members = {cid: [cid] for cid in phys}
     steps: list[MergeStep] = []
     while heap:
-        _, a, b, version_a, version_b, merged_na, gain = heappop(heap)
-        if version.get(a) != version_a or version.get(b) != version_b:
+        _, a, b, size_a, size_b, merged_na, gain = heappop(heap)
+        if size.get(a) != size_a or size.get(b) != size_b:
             continue
+        for label in phys[b]:
+            holders[label].remove(b)
+            holders[label].add(a)
         phys[a] |= phys.pop(b)
         size[a] += size.pop(b)
-        del version[b]
-        version[a] += 1
-        parent[b] = a
-        moved = neighbours.pop(b) - {a}
-        for x in moved:
-            neighbours[x].discard(b)
-            neighbours[x].add(a)
-        neighbours[a].discard(b)
-        neighbours[a] |= moved
+        members[a] += members.pop(b)
         steps.append(MergeStep(len(steps) + 1, a, b, merged_na, gain))
-        for x in neighbours[a]:
+        for x in near(a):
             queue(a, x)
-
-    def root(cid: int) -> int:
-        while cid in parent:
-            cid = parent[cid]
-        return cid
-
-    dense = {cid: i for i, cid in enumerate(sorted(phys))}
-    final = {cid: dense[root(cid)] for cid in range(cover.n_communities)}
+    final = [0] * cover.n_communities
+    for dense, cid in enumerate(sorted(members)):
+        for original in members[cid]:
+            final[original] = dense
     assignment = dict(zip(tg.nodes, map(final.__getitem__, cids)))
-    return Cover(assignment=assignment, n_communities=len(dense)), steps
+    return Cover(assignment=assignment, n_communities=len(members)), steps
 
 
 def write_trace(steps: Iterable[MergeStep], out: IO[str] | str | Path) -> None:

@@ -339,6 +339,18 @@ def test_metrics_redensifies_gappy_ids_with_warning(tmp_path, capsys):
     assert "community,z,temporal_size,NA,SC,HI,internal_links" in captured.out
 
 
+def test_metrics_redensifies_negative_ids_without_gaps(tmp_path, capsys):
+    # Ids -1,0 have no gap, yet they are not 0..k-1 either.
+    links = tmp_path / "links.txt"
+    links.write_text("a 2 b 1\n")
+    cover = tmp_path / "cover.csv"
+    cover.write_text("node,timestep,community\na,2,-1\nb,1,0\n")
+    assert main(["metrics", str(links), str(cover), "--community-out", str(tmp_path / "c.csv")]) == 0
+    err = capsys.readouterr().err
+    assert f"community ids in {cover} were not 0..k-1; re-densified to 0..1" in err
+    assert [row["community"] for row in read_csv_rows(tmp_path / "c.csv")] == ["0", "1"]
+
+
 def test_metrics_stdout_contains_both_tables(tmp_path, capsys):
     links = tmp_path / "links.txt"
     links.write_text("a 2 a 1\n")

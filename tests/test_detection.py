@@ -566,21 +566,21 @@ _tn_labels = st.text(alphabet='ab, "x', min_size=1, max_size=3)
 
 
 @settings(max_examples=200)
-@given(st.dictionaries(st.builds(TemporalNode, _tn_labels, st.integers(0, 50)), st.integers(0, 9)))
+@given(st.dictionaries(st.builds(TemporalNode, _tn_labels, st.integers(0, 50)), st.integers(-9, 9)))
 def test_cover_csv_round_trip_and_gap_densification(raw):
-    # Ids from 0..9 in any combination: gaps, or exactly 0..k-1.
+    # Ids from -9..9 in any combination: gaps, negatives, or exactly 0..k-1.
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["node", "timestep", "community"])
     writer.writerows([tn.node, tn.t, cid] for tn, cid in raw.items())
-    parsed, had_gaps = read_cover(io.StringIO(buffer.getvalue()))
+    parsed, renumbered = read_cover(io.StringIO(buffer.getvalue()))
     ids = sorted(set(raw.values()))
-    assert had_gaps == (ids != list(range(len(ids))))
+    assert renumbered == (ids != list(range(len(ids))))
     assert parsed.n_communities == len(ids)
     assert list(parsed.assignment) == list(raw)
     assert [parsed.assignment[node] for node in raw] == [ids.index(cid) for cid in raw.values()]
     written = io.StringIO()
     write_cover(parsed, written)
-    again, had_gaps = read_cover(io.StringIO(written.getvalue()))
-    assert not had_gaps
+    again, renumbered = read_cover(io.StringIO(written.getvalue()))
+    assert not renumbered
     assert list(again.assignment.items()) == list(parsed.assignment.items())

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import io
 import random
 from fractions import Fraction
@@ -132,6 +133,21 @@ def test_equal_gains_break_ties_toward_smaller_id_pair():
     assert (trace[0].community_a, trace[0].community_b) == (0, 1)
     assert trace[0].gain == pytest.approx(1 / 2)
     assert (trace[1].community_a, trace[1].community_b) == (0, 2)
+
+
+def test_chain_merge_absorbs_a_community_that_absorbed_another():
+    # 1 takes 2 first (gain 2/5 over NA 0 and 0); the merged 1 then has
+    # NA 2/5, and 0 joins it for NA 1/2.
+    groups = [[tn("Y", 3)], [tn("Z", 0), tn("Y", 1)], [tn("Z", 2), tn("Y", 0), tn("X", 0)]]
+    cover = cover_of(groups)
+    tg = graph_over([n for g in groups for n in g])
+    assignment, graph = dict(cover.assignment), copy.deepcopy(tg)
+    repaired, trace = repair(cover, tg)
+    assert trace == [MergeStep(1, 1, 2, 0.4, 0.4), MergeStep(2, 0, 1, 0.5, 0.1)]
+    assert repaired.n_communities == 1
+    assert set(repaired.assignment.values()) == {0}
+    assert cover.assignment == assignment and cover.n_communities == 3
+    assert tg == graph
 
 
 def test_trace_csv_format():
